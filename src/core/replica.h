@@ -204,9 +204,10 @@ class IReplica {
   virtual void on_message(ReplicaId from, const Bytes& payload) = 0;
 
   /// Deliver a payload whose decode-cache content key the caller already
-  /// computed (the TCP verify pool hashes frames off-thread; re-hashing
-  /// on delivery would waste the work). `key` MUST equal
-  /// smr::DecodeCache::key_of(payload). Default: ignore the hint.
+  /// computed. `key` MUST equal smr::DecodeCache::key_of(payload). No
+  /// transport calls this any more; it stays so forwarding replicas (the
+  /// perfbench TimedReplica overrides it) keep compiling. Default: ignore
+  /// the hint and take on_message.
   virtual void on_message_keyed(ReplicaId from, const Bytes& payload,
                                 const crypto::Digest& key) {
     (void)key;

@@ -175,12 +175,8 @@ void ReplicaBase::on_message(ReplicaId from, const Bytes& payload) {
   // through the shared cache, or a self-delivery the sender pre-populated
   // at encode time) parse once; any mutated byte changes the content key
   // and takes the full decode-and-verify path independently.
-  on_message_keyed(from, payload, smr::DecodeCache::key_of(payload));
-}
-
-void ReplicaBase::on_message_keyed(ReplicaId from, const Bytes& payload,
-                                   const crypto::Digest& key) {
   if (halted_ || cfg_.fault.crashed()) return;
+  const crypto::Digest key = smr::DecodeCache::key_of(payload);
   bool cache_hit = false;
   auto msg = dcache_->decode(key, payload, &cache_hit);
   cache_hit ? ++stats_.decode_hits : ++stats_.decode_misses;

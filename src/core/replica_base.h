@@ -19,57 +19,12 @@
 
 namespace repro::core {
 
-/// Accumulates threshold-signature shares per key, deduplicating signers.
-/// Callers verify shares *before* adding.
-template <typename Key>
-class SigPool {
- public:
-  /// Returns the number of distinct signers for `key` after the insert.
-  std::size_t add(const Key& key, const crypto::PartialSig& share) {
-    auto& m = pool_[key];
-    m.emplace(share.signer, share);
-    return m.size();
-  }
-
-  std::size_t count(const Key& key) const {
-    auto it = pool_.find(key);
-    return it == pool_.end() ? 0 : it->second.size();
-  }
-
-  std::vector<crypto::PartialSig> shares(const Key& key) const {
-    std::vector<crypto::PartialSig> out;
-    auto it = pool_.find(key);
-    if (it == pool_.end()) return out;
-    out.reserve(it->second.size());
-    for (const auto& [signer, share] : it->second) out.push_back(share);
-    return out;
-  }
-
-  void clear() { pool_.clear(); }
-
-  /// Drop entries whose key matches `pred` (periodic pruning of stale
-  /// rounds/views keeps long-running replicas at bounded memory).
-  template <typename Pred>
-  void erase_if(Pred pred) {
-    for (auto it = pool_.begin(); it != pool_.end();) {
-      it = pred(it->first) ? pool_.erase(it) : std::next(it);
-    }
-  }
-
-  std::size_t size() const { return pool_.size(); }
-
- private:
-  std::map<Key, std::map<ReplicaId, crypto::PartialSig>> pool_;
-};
-
 class ReplicaBase : public IReplica {
  public:
   explicit ReplicaBase(const ReplicaContext& ctx);
 
   // IReplica ----------------------------------------------------------
   void on_message(ReplicaId from, const Bytes& payload) final;
-  void on_message_keyed(ReplicaId from, const Bytes& payload,
-                        const crypto::Digest& key) final;
   void on_message_uncached(ReplicaId from, const Bytes& payload) final;
   void halt() final { halted_ = true; }
   ReplicaId id() const final { return id_; }

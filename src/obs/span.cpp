@@ -37,8 +37,8 @@ static_assert(sizeof(kStageNames) / sizeof(kStageNames[0]) == kSpanStageCount);
 constexpr const char* kChainStageNames[SpanChain::kMilestones - 1] = {
     "sendq_wait",   // proposal encode -> send-queue flush
     "wire",         // flush -> critical voter's socket read
-    "verify_wait",  // socket read -> verify-pool dequeue
-    "dispatch",     // dequeue -> proposal handler entry
+    "verify_wait",  // read -> verify dequeue; always telescoped now (never emitted)
+    "dispatch",     // verify dequeue (or socket read) -> proposal handler entry
     "vote_handler", // handler entry -> vote send
     "quorum",       // vote send -> QC formed
     "commit_rule",  // QC formed -> commit (the k-chain rule's trailing wait)

@@ -2,8 +2,8 @@
 // committed block's microseconds went.
 //
 // Every lifecycle milestone — batch announce, proposal encode, send-queue
-// flush, socket read, verify-pool dequeue, handler dispatch, vote send,
-// QC formation, commit, client confirm — is recorded as a SpanEvent keyed
+// flush, socket read, handler dispatch, vote send, QC formation, commit,
+// client confirm — is recorded as a SpanEvent keyed
 // by a 64-bit correlation key (block-id prefix for protocol milestones,
 // a cheap payload content hash for transport milestones, bridged by the
 // kProposalEncode record which carries both). No wire-format change:
@@ -17,9 +17,15 @@
 //
 // analyze_spans() stitches the events into one critical-path chain per
 // committed block: proposer encode -> flush to the *critical* voter (the
-// last vote that made the QC) -> that voter's read/verify/dispatch/vote
-// -> QC -> commit, telescoping so the stage sum accounts for the whole
+// last vote that made the QC) -> that voter's read/dispatch/vote -> QC
+// -> commit, telescoping so the stage sum accounts for the whole
 // encode->commit interval even when individual milestones are missing.
+//
+// kVerifyDequeue and its `verify_wait` chain stage are kept in the schema
+// (chain stages are read by index, and older NDJSON files name them), but
+// no live code emits the milestone: TCP frames are verified inline on the
+// node thread (DESIGN.md §11), so `verify_wait` is always telescoped —
+// unset, with its interval folded into `dispatch`.
 #pragma once
 
 #include <atomic>
@@ -39,7 +45,7 @@ enum class SpanStage : std::uint8_t {
   kProposalEncode,     ///< key = block-id prefix, aux = payload span key (the bridge)
   kSendFlush,          ///< key = payload span key, peer = dest, aux = queue-wait us
   kSocketRead,         ///< key = payload span key, peer = source, aux = frame bytes
-  kVerifyDequeue,      ///< key = payload span key, aux = verify-pool wait us
+  kVerifyDequeue,      ///< no longer emitted (inline verification); parsed from older recordings
   kDispatch,           ///< key = block-id prefix (proposal entered the handler)
   kVoteSend,           ///< key = block-id prefix, aux = fallback height
   kQcFormed,           ///< key = block-id prefix, aux = fallback height
@@ -84,7 +90,7 @@ std::uint64_t span_key_of(const std::uint8_t* data, std::size_t size);
 inline std::uint64_t span_key_of(BytesView v) { return span_key_of(v.data(), v.size()); }
 
 /// Lock-free bounded span log shared by every writer thread in a process
-/// (node threads, verify-pool drain, client swarm). Each slot is a
+/// (node threads, client swarm). Each slot is a
 /// seqlock: writers claim a ticket with one relaxed fetch_add, invalidate
 /// the slot, store the packed payload words relaxed, then publish the
 /// sequence with a release store. Readers validate the sequence before
@@ -163,7 +169,8 @@ struct SpanChain {
   ReplicaId critical = 0;  ///< the voter whose vote completed the QC
 
   /// Milestones, reference-clock us: encode, flush, read, dequeue,
-  /// dispatch, vote, qc, commit (0 = not captured; [0] and [7] always set).
+  /// dispatch, vote, qc, commit (0 = not captured; [0] and [7] always set;
+  /// [3] is set only by older recordings — kVerifyDequeue is no longer emitted).
   static constexpr std::size_t kMilestones = 8;
   std::uint64_t t[kMilestones] = {};
 

@@ -117,8 +117,8 @@ class ShareAccumulator {
   std::set<ReplicaId> banned_;       // signers whose share for this target was invalid
 };
 
-/// Keyed map of accumulators — the drop-in replacement for the verified
-/// SigPool at every quorum-collection site. The signing message is built
+/// Keyed map of accumulators, one per quorum-collection site (votes,
+/// timeouts, fallback votes/timeouts, coin shares). The signing message is built
 /// lazily (first share for a key) by `make_msg`, so callers must key pools
 /// by every field that feeds the signing message.
 template <typename Key>
