@@ -5,6 +5,7 @@
 
 #include "common/rng.h"
 #include "crypto/dealer.h"
+#include "crypto/sha256.h"
 #include "crypto/verifier_cache.h"
 #include "smr/block.h"
 #include "smr/certificates.h"
@@ -14,15 +15,23 @@ using namespace repro;
 
 namespace {
 
-void BM_Sha256(benchmark::State& state) {
+// One-shot hash on each compressor: the portable reference, and the one
+// every Sha256 runs on (SHA-NI where the CPU has it; the label says which).
+void BM_Sha256(benchmark::State& state, bool portable) {
+  const crypto::detail::Compressor compress =
+      portable ? &crypto::detail::compress_portable : crypto::detail::active_compressor();
   const std::size_t size = state.range(0);
   Bytes data(size, 0xab);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::sha256(data));
+    crypto::Sha256 ctx(compress);
+    ctx.update(data);
+    benchmark::DoNotOptimize(ctx.finalize());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * size));
+  state.SetLabel(portable ? "portable" : crypto::detail::active_kernel_name());
 }
-BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(65536);
+BENCHMARK_CAPTURE(BM_Sha256, portable, true)->Arg(64)->Arg(1024)->Arg(65536);
+BENCHMARK_CAPTURE(BM_Sha256, dispatched, false)->Arg(64)->Arg(1024)->Arg(65536);
 
 void BM_FieldMul(benchmark::State& state) {
   Rng rng(1);

@@ -216,10 +216,10 @@ int main(int argc, char** argv) {
           bench::JsonLine line("tcp_pipeline");
           line.field("n", std::uint64_t{n})
               .field("batch_bytes", std::uint64_t{batch})
-              .field("batch_refs", std::uint64_t{refs ? 1 : 0})
+              .field("batch_refs", std::uint64_t{refs ? 1u : 0u})
               .field("blocks_per_sec", r.blocks_per_sec)
               .field("payload_mb_per_sec", r.blocks_per_sec * batch / 1e6)
-              .field("consistent", std::uint64_t{r.consistent ? 1 : 0})
+              .field("consistent", std::uint64_t{r.consistent ? 1u : 0u})
               .field("batches_sealed", r.batches_sealed)
               .field("batches_announced", r.batches_announced)
               .field("batches_pulled", r.batches_pulled)

@@ -23,6 +23,8 @@ const char* fault_name(core::FaultKind k) {
     case core::FaultKind::kInvalidTxns: return "invalid-txn proposer";
     case core::FaultKind::kBadShares: return "bad-share flooder";
     case core::FaultKind::kImpersonateShares: return "share impersonator";
+    case core::FaultKind::kForgeFbQc: return "f-QC forger";
+    case core::FaultKind::kGhostChain: return "ghost-chain injector";
   }
   return "?";
 }

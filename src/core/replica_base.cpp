@@ -72,7 +72,7 @@ void ReplicaBase::persist_vote_state() {
   enc.u64(v_cur_);
   qc_high_.encode(enc);
   enc.u32(static_cast<std::uint32_t>(coins_.size()));
-  for (const auto& [view, coin] : coins_) coin.encode(enc);
+  for (const auto& [view, coin] : coins_) coin.qc.encode(enc);
   encode_extra_state(enc);
   // Unresolved batch waiters: blocks stored but still awaiting their
   // referenced batch. Restored into recovered_batch_waiters_ so a restart
@@ -105,11 +105,11 @@ bool ReplicaBase::recover_from_wal() {
     LOG_ERROR("replica %u: corrupted WAL snapshot; starting fresh", id_);
     return false;
   }
-  std::map<View, smr::CoinQC> coins;
+  std::map<View, InstalledCoin> coins;
   for (std::uint32_t i = 0; i < *coin_count; ++i) {
     auto coin = smr::CoinQC::decode(dec);
     if (!coin) return false;
-    coins.emplace(coin->view, *coin);
+    coins.emplace(coin->view, InstalledCoin{*coin, coin->leader(*crypto_)});
   }
   r_vote_ = *r_vote;
   rank_lock_ = smr::Rank{*lock_view, *lock_endorsed, *lock_round};
@@ -354,7 +354,7 @@ bool ReplicaBase::is_endorsed(const smr::Certificate& cert) const {
   if (cert.kind != smr::CertKind::kFallback) return false;
   auto it = coins_.find(cert.view);
   if (it == coins_.end()) return false;
-  return it->second.leader(*crypto_) == cert.proposer;
+  return it->second.leader == cert.proposer;
 }
 
 bool ReplicaBase::counts_for_commit(const smr::Certificate& cert) const {
@@ -364,8 +364,8 @@ bool ReplicaBase::counts_for_commit(const smr::Certificate& cert) const {
 }
 
 bool ReplicaBase::install_coin(const smr::CoinQC& coin) {
-  const bool fresh = coins_.emplace(coin.view, coin).second;
-  if (!fresh) return false;
+  if (coins_.count(coin.view) != 0) return false;
+  coins_.emplace(coin.view, InstalledCoin{coin, coin.leader(*crypto_)});
   // Endorsements of recorded f-QCs of this view may have flipped on:
   // rescan them for commit (the Exit Fallback "check for commit").
   for (const auto& cert : store_.certificates()) {
@@ -378,7 +378,7 @@ bool ReplicaBase::install_coin(const smr::CoinQC& coin) {
 
 const smr::CoinQC* ReplicaBase::coin_for(View view) const {
   auto it = coins_.find(view);
-  return it == coins_.end() ? nullptr : &it->second;
+  return it == coins_.end() ? nullptr : &it->second.qc;
 }
 
 void ReplicaBase::note_certificate(const smr::Certificate& cert, ReplicaId hint) {

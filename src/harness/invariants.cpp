@@ -30,12 +30,13 @@ InvariantReport check_invariants(const Experiment& exp) {
   crypto::VerifierCache vcache;
   std::map<View, ReplicaId> leaders;
   for (const auto* r : honest) {
-    for (const auto& [view, coin] : r->coins()) {
-      if (!verify_coin_qc(exp.crypto_sys(), vcache, coin)) {
+    for (const auto& [view, installed] : r->coins()) {
+      if (!verify_coin_qc(exp.crypto_sys(), vcache, installed.qc)) {
         report.fail("invalid coin-QC stored at replica " + std::to_string(r->id()));
         continue;
       }
-      leaders.emplace(view, coin.leader(exp.crypto_sys()));
+      // Re-derived from the coin, not read from the replica's memo.
+      leaders.emplace(view, installed.qc.leader(exp.crypto_sys()));
     }
   }
 

@@ -2,8 +2,9 @@
 
 namespace repro::smr {
 
-BlockId genesis_id() {
-  return crypto::sha256_tagged("repro/genesis", BytesView{});
+const BlockId& genesis_id() {
+  static const BlockId id = crypto::sha256_tagged("repro/genesis", BytesView{});
+  return id;
 }
 
 Certificate genesis_certificate() {

@@ -118,7 +118,9 @@ TEST(BatchRef, RoundTripCommitsWithAnnouncedBatches) {
 
   // Execution sees full payloads, never the 32-byte references.
   for (const auto& rec : exp.replica(0).ledger().records()) {
-    if (rec.height == 0) EXPECT_EQ(rec.payload_bytes, 1024u + 12);
+    if (rec.height == 0) {
+      EXPECT_EQ(rec.payload_bytes, 1024u + 12);
+    }
   }
 
   // The dissemination shows up in the structured trace.

@@ -24,29 +24,50 @@ Bytes str_bytes(std::string_view s) {
 }
 
 // ---- SHA-256 --------------------------------------------------------------
+//
+// Every Sha256 runs on the compressor picked at startup (SHA-NI where the
+// CPU has it). The vector tests run each input through it and through the
+// portable reference; on a host without SHA-NI both are the portable one.
+
+const detail::Compressor kCompressors[] = {&detail::compress_portable,
+                                           detail::active_compressor()};
+
+Digest hash_with(detail::Compressor compress, BytesView data) {
+  Sha256 ctx(compress);
+  ctx.update(data);
+  return ctx.finalize();
+}
 
 TEST(Sha256, EmptyInputMatchesFipsVector) {
-  EXPECT_EQ(to_hex(sha256(BytesView{})),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  for (auto compress : kCompressors) {
+    EXPECT_EQ(to_hex(hash_with(compress, BytesView{})),
+              "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  }
 }
 
 TEST(Sha256, AbcMatchesFipsVector) {
-  EXPECT_EQ(to_hex(sha256(str_bytes("abc"))),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  for (auto compress : kCompressors) {
+    EXPECT_EQ(to_hex(hash_with(compress, str_bytes("abc"))),
+              "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  }
 }
 
 TEST(Sha256, TwoBlockMessageMatchesFipsVector) {
-  EXPECT_EQ(to_hex(sha256(str_bytes(
-                "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  for (auto compress : kCompressors) {
+    EXPECT_EQ(to_hex(hash_with(
+                  compress, str_bytes("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))),
+              "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  }
 }
 
 TEST(Sha256, MillionAsMatchesFipsVector) {
-  Sha256 ctx;
-  const Bytes chunk(1000, 'a');
-  for (int i = 0; i < 1000; ++i) ctx.update(chunk);
-  EXPECT_EQ(to_hex(ctx.finalize()),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+  for (auto compress : kCompressors) {
+    Sha256 ctx(compress);
+    const Bytes chunk(1000, 'a');
+    for (int i = 0; i < 1000; ++i) ctx.update(chunk);
+    EXPECT_EQ(to_hex(ctx.finalize()),
+              "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+  }
 }
 
 TEST(Sha256, IncrementalMatchesOneShot) {
@@ -62,6 +83,14 @@ TEST(Sha256, IncrementalMatchesOneShot) {
   }
 }
 
+TEST(Sha256, EmptyUpdateOnPartialBufferIsANoOp) {
+  Sha256 ctx;
+  ctx.update(str_bytes("ab"));
+  ctx.update(BytesView{});  // null data while the block buffer is partly full
+  ctx.update(str_bytes("c"));
+  EXPECT_EQ(ctx.finalize(), sha256(str_bytes("abc")));
+}
+
 TEST(Sha256, TaggedHashSeparatesDomains) {
   const Bytes msg = str_bytes("payload");
   EXPECT_NE(sha256_tagged("a", msg), sha256_tagged("b", msg));
@@ -70,14 +99,37 @@ TEST(Sha256, TaggedHashSeparatesDomains) {
 
 TEST(Sha256, PaddingBoundaries) {
   // Lengths around the 56-byte padding cliff must all hash distinctly and
-  // deterministically.
+  // deterministically, and identically on both compressors.
   std::vector<Digest> seen;
   for (std::size_t len = 54; len <= 66; ++len) {
     const Bytes data(len, 0x5a);
     const Digest d = sha256(data);
     EXPECT_EQ(d, sha256(data));
+    EXPECT_EQ(d, hash_with(&detail::compress_portable, data)) << "len=" << len;
     EXPECT_TRUE(std::find(seen.begin(), seen.end(), d) == seen.end());
     seen.push_back(d);
+  }
+}
+
+TEST(Sha256, CompressorsAgreeOnRandomSplits) {
+  // Seeded inputs of 0..1100 bytes fed in pieces of 0..150 bytes, so empty
+  // updates, partial buffers and multi-block runs all occur.
+  Rng rng(20211015);
+  for (int trial = 0; trial < 400; ++trial) {
+    Bytes data(rng.uniform(1101));
+    for (auto& b : data) b = static_cast<std::uint8_t>(rng.next());
+    Sha256 portable(&detail::compress_portable);
+    Sha256 active;
+    for (std::size_t at = 0; at < data.size();) {
+      const std::size_t take = std::min<std::size_t>(rng.uniform(151), data.size() - at);
+      const BytesView piece(data.data() + at, take);
+      portable.update(piece);
+      active.update(piece);
+      at += take;
+    }
+    EXPECT_EQ(active.finalize(), portable.finalize())
+        << "trial=" << trial << " len=" << data.size() << " kernel="
+        << detail::active_kernel_name();
   }
 }
 

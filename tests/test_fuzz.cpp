@@ -27,7 +27,7 @@ std::vector<Bytes> seed_messages(const crypto::CryptoSystem& sys) {
   msgs.push_back(FbVoteMsg{blk.id, 1, 0, 1, 2, crypto::PartialSig{3, 1}});
   msgs.push_back(FbQcMsg{genesis_certificate(), {}});
   msgs.push_back(CoinShareMsg{0, crypto::PartialSig{1, 2}});
-  msgs.push_back(CoinQcMsg{CoinQC{0, crypto::ThresholdSig{4}}});
+  msgs.push_back(CoinQcMsg{CoinQC{0, crypto::ThresholdSig{4}}, std::nullopt});
   msgs.push_back(BlockRequestMsg{blk.id, 32});
   msgs.push_back(BlockResponseMsg{{blk}});
 

@@ -36,6 +36,11 @@ std::string fault_tag(core::FaultKind k) {
     case core::FaultKind::kEquivocate: return "equiv";
     case core::FaultKind::kWithholdVotes: return "withhold";
     case core::FaultKind::kTimeoutSpam: return "spam";
+    case core::FaultKind::kInvalidTxns: return "invalid";
+    case core::FaultKind::kBadShares: return "badshare";
+    case core::FaultKind::kImpersonateShares: return "impersonate";
+    case core::FaultKind::kForgeFbQc: return "forgeqc";
+    case core::FaultKind::kGhostChain: return "ghost";
   }
   return "?";
 }

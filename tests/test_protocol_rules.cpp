@@ -328,7 +328,7 @@ TEST(ExitFallback, CoinQcExitsAndAdvancesView) {
                                             rig.crypto_sys->coin.coin_share(2, 0)};
   const smr::CoinQC coin = *smr::combine_coin_qc(*rig.crypto_sys, 0, shares);
   rig.captured.clear();
-  rig.inject(1, smr::CoinQcMsg{coin});
+  rig.inject(1, smr::CoinQcMsg{coin, std::nullopt});
 
   EXPECT_FALSE(rig.replica->in_fallback());
   EXPECT_EQ(rig.replica->current_view(), 1u);
@@ -428,9 +428,9 @@ TEST(ExitFallback, StaleCoinDoesNotRegressView) {
   std::vector<crypto::PartialSig> shares = {rig.crypto_sys->coin.coin_share(1, 0),
                                             rig.crypto_sys->coin.coin_share(2, 0)};
   const smr::CoinQC coin0 = *smr::combine_coin_qc(*rig.crypto_sys, 0, shares);
-  rig.inject(1, smr::CoinQcMsg{coin0});
+  rig.inject(1, smr::CoinQcMsg{coin0, std::nullopt});
   ASSERT_EQ(rig.replica->current_view(), 1u);
-  rig.inject(2, smr::CoinQcMsg{coin0});  // replay of the old view's coin
+  rig.inject(2, smr::CoinQcMsg{coin0, std::nullopt});  // replay of the old view's coin
   EXPECT_EQ(rig.replica->current_view(), 1u);
   EXPECT_FALSE(rig.replica->in_fallback());
 }

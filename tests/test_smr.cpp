@@ -173,6 +173,12 @@ TEST(Certificates, FallbackCertHeightBoundsEnforced) {
   EXPECT_FALSE(verify_certificate(*sys, fqc));
 }
 
+TEST(Certificates, GenesisIdIsTheTaggedHashComputedOnce) {
+  EXPECT_EQ(genesis_id(), crypto::sha256_tagged("repro/genesis", BytesView{}));
+  EXPECT_EQ(&genesis_id(), &genesis_id());
+  EXPECT_TRUE(Block::genesis().is_genesis());
+}
+
 TEST(Certificates, SigningMessageSeparatesQcFromFqc) {
   // An f-QC signature must not validate as a regular QC of the same block.
   const BlockId id = genesis_id();
@@ -264,7 +270,7 @@ TEST(Messages, AllTypesRoundTrip) {
   cases.push_back(FbVoteMsg{blk.id, 2, 1, 1, 3, crypto::PartialSig{1, 6}});
   cases.push_back(FbQcMsg{qc, {}});
   cases.push_back(CoinShareMsg{7, crypto::PartialSig{3, 2}});
-  cases.push_back(CoinQcMsg{CoinQC{7, crypto::ThresholdSig{3}}});
+  cases.push_back(CoinQcMsg{CoinQC{7, crypto::ThresholdSig{3}}, std::nullopt});
   cases.push_back(BlockRequestMsg{blk.id, 64});
   cases.push_back(BlockResponseMsg{{blk, Block::genesis()}});
 

@@ -164,6 +164,42 @@ TEST(CrashRecovery, RestartDuringAsynchronyIsSafe) {
   EXPECT_TRUE(exp.check_safety().ok);
 }
 
+TEST(CrashRecovery, CoinLeadersAreRederivedOnRestore) {
+  // Each installed coin-QC carries its elected leader, derived once at
+  // install; the WAL stores only the coin, so restore must derive it again.
+  auto cfg = recovery_config(Protocol::kFallback3, 30);
+  cfg.scenario = NetScenario::kAsynchronous;
+  Experiment exp(cfg);
+  exp.start();
+  ASSERT_TRUE(exp.run_until_commits(6, 8'000'000'000ull));
+  auto expect_leaders = [&exp](const core::ReplicaBase& r) {
+    for (const auto& [view, coin] : r.coins()) {
+      EXPECT_EQ(coin.qc.view, view);
+      EXPECT_EQ(coin.leader, coin.qc.leader(exp.crypto_sys())) << "view " << view;
+    }
+  };
+  const auto& before = dynamic_cast<const core::ReplicaBase&>(exp.replica(1));
+  ASSERT_FALSE(before.coins().empty());
+  expect_leaders(before);
+  const auto coins_before = before.coins();
+
+  exp.restart_replica(1);
+  const auto& after = dynamic_cast<const core::ReplicaBase&>(exp.replica(1));
+  ASSERT_TRUE(after.recovered());
+  ASSERT_FALSE(after.coins().empty());
+  expect_leaders(after);
+  for (const auto& [view, coin] : after.coins()) {
+    ASSERT_EQ(coins_before.count(view), 1u) << "view " << view;
+    EXPECT_EQ(coin.qc, coins_before.at(view).qc);
+  }
+
+  ASSERT_TRUE(exp.run_until_commits(10, 16'000'000'000ull));
+  expect_leaders(dynamic_cast<const core::ReplicaBase&>(exp.replica(1)));
+  EXPECT_TRUE(exp.check_safety().ok);
+  const auto rep = harness::check_invariants(exp);
+  EXPECT_TRUE(rep.ok) << (rep.violations.empty() ? "" : rep.violations.front());
+}
+
 TEST(CrashRecovery, DiemBftRecoversToo) {
   Experiment exp(recovery_config(Protocol::kDiemBft, 25));
   exp.start();
