@@ -6,8 +6,11 @@
 //  * empirical commit probability per fallback vs the 2/3 bound,
 //  * fallback duration (enter -> exit) with and without chain adoption,
 //  * message-type breakdown of one fallback (who pays the n^2),
-//  * the zero-copy/decode-once data path under the fallback's n^2 traffic
-//    (serializations per multicast, payload copies avoided, parses saved).
+//  * the zero-copy data path under the fallback's n^2 traffic
+//    (serializations per multicast, payload copies avoided), with the
+//    parses and certificate verifications every delivery pays,
+//  * share assembly: per-share verifications and combines, also under a
+//    bad-share flood.
 //
 // `--json <path>` appends the data-path acceptance numbers as NDJSON.
 // `--trace-out <path>` / `--metrics-out <path>` write the traced artifact
@@ -34,11 +37,9 @@ struct FallbackStats {
   std::uint64_t entered = 0;
   std::uint64_t exited = 0;
   std::uint64_t fallback_time_us = 0;  ///< summed enter->exit durations
-  std::uint64_t verify_hits = 0;       ///< certificate verifications answered by cache
-  std::uint64_t verify_misses = 0;     ///< full threshold verifications paid
-  // Data path (zero-copy multicast + decode-once delivery).
-  std::uint64_t decode_hits = 0;       ///< deliveries served from the decode cache
-  std::uint64_t decode_misses = 0;     ///< full decode_message parses paid
+  std::uint64_t cert_verifies = 0;     ///< full threshold verifications paid
+  // Data path (zero-copy multicast; every delivery parses its payload).
+  std::uint64_t decodes = 0;           ///< decode_message parses paid
   std::uint64_t multicast_encodes = 0; ///< serializations performed for multicasts
   std::uint64_t multicasts = 0;        ///< network multicast() calls
   std::uint64_t copies_avoided = 0;    ///< per-recipient payload copies not made
@@ -46,32 +47,13 @@ struct FallbackStats {
   std::uint64_t net_bytes = 0;
   std::uint64_t commits = 0;           ///< min honest commits, summed over seeds
   std::uint64_t virtual_time_us = 0;   ///< summed virtual run durations
-  // Optimistic share assembly (combine-then-verify accumulators).
+  // Share assembly.
   std::uint64_t shares_verified = 0;   ///< per-share verify_share calls paid
-  std::uint64_t shares_deferred = 0;   ///< shares buffered unverified
-  std::uint64_t combines_optimistic = 0;
-  std::uint64_t combine_fallbacks = 0;
+  std::uint64_t combines = 0;          ///< certificates combined at threshold
   std::uint64_t bad_shares_rejected = 0;
-  /// Per-seed fingerprint of replica 0's full commit sequence (block id,
-  /// round, view, height, commit time) — equal fingerprints mean
-  /// byte-identical commit histories with identical timing.
-  std::vector<std::uint64_t> ledger_fp;
 
   double mean_duration_ms() const {
     return obs::ratio(fallback_time_us, exited) / 1000.0;
-  }
-
-  /// Factor by which the verified-certificate cache cuts full threshold
-  /// verifications: without it every lookup (hit + miss) would pay one.
-  double verify_reduction() const {
-    return verify_misses ? double(verify_hits + verify_misses) / verify_misses : 1.0;
-  }
-
-  /// Factor by which decode-once cuts full parses: every delivery would
-  /// pay one without the cache. With sender pre-population misses can be
-  /// zero — the reduction is then "all of them" and reported against 1.
-  double decode_reduction() const {
-    return double(decode_hits + decode_misses) / double(std::max<std::uint64_t>(1, decode_misses));
   }
 
   /// Serialized buffers per multicast; 1.0 = encode-once achieved.
@@ -86,7 +68,6 @@ struct FallbackStats {
 
 struct MeasureOpts {
   std::uint32_t crashes = 0;
-  bool lazy_share_verify = true;
   /// Byzantine replicas flooding invalid threshold shares (kBadShares).
   std::uint32_t bad_share_replicas = 0;
   /// Per-replica trace ring capacity; 0 = tracing off (no event records).
@@ -102,7 +83,6 @@ FallbackStats measure(Protocol p, std::uint32_t n, int seeds, std::size_t commit
     cfg.protocol = p;
     cfg.scenario = NetScenario::kAsynchronous;
     cfg.seed = 7000 + seed;
-    cfg.pcfg.lazy_share_verify = opts.lazy_share_verify;
     cfg.trace_capacity = opts.trace_capacity;
     for (std::uint32_t c = 0; c < opts.crashes; ++c) {
       cfg.faults[n - 1 - c] = core::FaultKind::kCrash;
@@ -125,39 +105,21 @@ FallbackStats measure(Protocol p, std::uint32_t n, int seeds, std::size_t commit
       agg.entered += exp.replica(id).stats().fallbacks_entered;
       agg.exited += exp.replica(id).stats().fallbacks_exited;
       agg.fallback_time_us += exp.replica(id).stats().fallback_time_total_us;
-      agg.verify_hits += exp.replica(id).stats().cert_verify_hits;
-      agg.verify_misses += exp.replica(id).stats().cert_verify_misses;
+      agg.cert_verifies += exp.replica(id).stats().cert_verify_misses;
     }
     // Data-path counters sum over every replica (faulty senders multicast
     // too, and their traffic rides the same zero-copy path), so the
     // serializations/multicast identity holds exactly.
     for (ReplicaId id = 0; id < n; ++id) {
-      agg.decode_hits += exp.replica(id).stats().decode_hits;
-      agg.decode_misses += exp.replica(id).stats().decode_misses;
+      agg.decodes += exp.replica(id).stats().decode_misses;
       agg.multicast_encodes += exp.replica(id).stats().multicast_encodes;
     }
     for (ReplicaId id = 0; id < n; ++id) {
       if (!exp.is_honest(id)) continue;
       agg.shares_verified += exp.replica(id).stats().shares_verified;
-      agg.shares_deferred += exp.replica(id).stats().shares_deferred;
-      agg.combines_optimistic += exp.replica(id).stats().combines_optimistic;
-      agg.combine_fallbacks += exp.replica(id).stats().combine_fallbacks;
+      agg.combines += exp.replica(id).stats().combines_optimistic;
       agg.bad_shares_rejected += exp.replica(id).stats().bad_shares_rejected;
     }
-    std::uint64_t fp = 1469598103934665603ull;  // FNV-1a over the commit sequence
-    auto mix = [&fp](std::uint64_t v) {
-      for (int i = 0; i < 8; ++i) {
-        fp = (fp ^ ((v >> (8 * i)) & 0xff)) * 1099511628211ull;
-      }
-    };
-    for (const auto& rec : exp.replica(0).ledger().records()) {
-      mix(smr::BlockIdHash{}(rec.id));
-      mix(rec.round);
-      mix(rec.view);
-      mix(rec.height);
-      mix(rec.commit_time);
-    }
-    agg.ledger_fp.push_back(fp);
     const auto& net = exp.network().stats();
     agg.multicasts += net.multicasts;
     agg.copies_avoided += net.payload_copies_avoided;
@@ -225,39 +187,21 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(st.exited));
   }
 
-  std::printf("\n--- verified-certificate cache: full verifications avoided -----\n");
-  std::printf("    (the fallback floods each replica with n copies of every QC /\n");
-  std::printf("    f-TC / coin-QC; only the first copy pays the threshold math;\n");
-  std::printf("    Fig-2 rows reuse the duration-sweep runs above) ------------\n\n");
-  std::printf("    %-22s %-6s %12s %12s %12s %10s\n", "protocol", "n", "cache hits",
-              "full (miss)", "would-pay", "reduction");
-  auto print_cache_row = [](const char* label, std::uint32_t n, const FallbackStats& st) {
-    std::printf("    %-22s %-6u %12llu %12llu %12llu %9.1fx\n", label, n,
-                static_cast<unsigned long long>(st.verify_hits),
-                static_cast<unsigned long long>(st.verify_misses),
-                static_cast<unsigned long long>(st.verify_hits + st.verify_misses),
-                st.verify_reduction());
-  };
-  for (const auto& [n, st] : sweep) print_cache_row("fallback (Fig 2)", n, st);
-  for (std::uint32_t n : {4u, 7u, 10u}) {
-    print_cache_row("always-fallback", n, measure(Protocol::kAlwaysFallback, n, 6, 4));
-  }
-
-  std::printf("\n--- data path: zero-copy multicast + decode-once delivery ------\n");
+  std::printf("\n--- data path: zero-copy multicast, verify on every delivery ---\n");
   std::printf("    (the fallback's n^2 traffic is mostly multicasts of identical\n");
-  std::printf("    bytes: one serialization feeds all n recipients, and the\n");
-  std::printf("    shared decode cache parses each distinct payload at most once\n");
-  std::printf("    instead of once per recipient) -----------------------------\n\n");
-  std::printf("    %-22s %-4s %11s %10s %10s %9s %10s\n", "protocol", "n", "ser/mcast",
-              "copies-", "parses", "parse", "commits/s");
-  std::printf("    %-22s %-4s %11s %10s %10s %9s %10s\n", "", "", "", "avoided",
-              "saved", "redux", "");
+  std::printf("    bytes: one serialization feeds all n recipients; each\n");
+  std::printf("    recipient parses its payload and verifies every certificate\n");
+  std::printf("    it relies on) ----------------------------------------------\n\n");
+  std::printf("    %-22s %-4s %11s %10s %12s %12s %10s\n", "protocol", "n", "ser/mcast",
+              "copies-", "parses", "cert", "commits/s");
+  std::printf("    %-22s %-4s %11s %10s %12s %12s %10s\n", "", "", "", "avoided", "",
+              "verifies", "");
   auto print_datapath_row = [](const char* label, std::uint32_t n, const FallbackStats& st) {
-    std::printf("    %-22s %-4u %11.2f %10llu %10llu %8.0fx %10.1f\n", label, n,
+    std::printf("    %-22s %-4u %11.2f %10llu %12llu %12llu %10.1f\n", label, n,
                 st.serializations_per_multicast(),
                 static_cast<unsigned long long>(st.copies_avoided),
-                static_cast<unsigned long long>(st.decode_hits), st.decode_reduction(),
-                st.commits_per_sec());
+                static_cast<unsigned long long>(st.decodes),
+                static_cast<unsigned long long>(st.cert_verifies), st.commits_per_sec());
   };
   // The acceptance row: always-fallback keeps the protocol permanently in
   // its asynchronous O(n^2) mode — the data path's worst case — at n=16.
@@ -273,70 +217,42 @@ int main(int argc, char** argv) {
         .field("multicasts", accept.multicasts)
         .field("serializations_per_multicast", accept.serializations_per_multicast())
         .field("payload_copies_avoided", accept.copies_avoided)
-        .field("decode_hits", accept.decode_hits)
-        .field("decode_misses", accept.decode_misses)
-        .field("decode_reduction", accept.decode_reduction())
+        .field("decodes", accept.decodes)
+        .field("cert_verifies", accept.cert_verifies)
         .field("commits", accept.commits)
         .field("commits_per_sec", accept.commits_per_sec())
         .field("virtual_time_s", accept.virtual_time_us / 1e6)
         .append_to(json_path);
   }
 
-  std::printf("\n--- optimistic share assembly: combine-then-verify accumulators -\n");
-  std::printf("    (eager verifies every arriving threshold share; lazy buffers\n");
-  std::printf("    unverified and pays ONE combine + ONE verify per certificate,\n");
-  std::printf("    falling back to per-share checks only when the combined check\n");
-  std::printf("    fails. Acceptance: always-fallback async n=16, >=5x fewer\n");
-  std::printf("    per-share verifications, identical commit sequence) ---------\n\n");
+  std::printf("\n--- share assembly: verify each share, combine at threshold -----\n");
+  std::printf("    (always-fallback async n=16; every arriving threshold share is\n");
+  std::printf("    checked against its target's memoized field point, and the\n");
+  std::printf("    t-th valid share triggers one Lagrange combine) -------------\n\n");
   {
-    MeasureOpts eager_opts;
-    eager_opts.lazy_share_verify = false;
-    const FallbackStats eager = measure(Protocol::kAlwaysFallback, 16, 3, 4, eager_opts);
-    const FallbackStats lazy = measure(Protocol::kAlwaysFallback, 16, 3, 4);
-    const double reduction =
-        double(eager.shares_verified) / double(std::max<std::uint64_t>(1, lazy.shares_verified));
-    const bool same_ledgers = eager.ledger_fp == lazy.ledger_fp;
-    std::printf("    %-8s %14s %14s %12s %12s %12s\n", "mode", "shares-verif", "deferred",
-                "opt-combines", "fallbacks", "commits");
-    auto print_mode_row = [](const char* label, const FallbackStats& st) {
-      std::printf("    %-8s %14llu %14llu %12llu %12llu %12llu\n", label,
-                  static_cast<unsigned long long>(st.shares_verified),
-                  static_cast<unsigned long long>(st.shares_deferred),
-                  static_cast<unsigned long long>(st.combines_optimistic),
-                  static_cast<unsigned long long>(st.combine_fallbacks),
-                  static_cast<unsigned long long>(st.commits));
-    };
-    print_mode_row("eager", eager);
-    print_mode_row("lazy", lazy);
-    std::printf("    per-share verification reduction: %.0fx (acceptance: >=5x)\n", reduction);
-    std::printf("    commit sequences identical (ids+rounds+views+times): %s\n",
-                same_ledgers ? "yes" : "NO");
+    // Reuses the data-path acceptance runs above.
+    std::printf("    shares verified=%llu combines=%llu commits=%llu\n",
+                static_cast<unsigned long long>(accept.shares_verified),
+                static_cast<unsigned long long>(accept.combines),
+                static_cast<unsigned long long>(accept.commits));
 
     // Flood: f Byzantine replicas spray invalid shares into every pool;
-    // each poisoned certificate costs one failed combine + a per-share
-    // pass that evicts and bans, then assembly proceeds.
+    // each is rejected on arrival and its signer banned for that target.
     MeasureOpts flood_opts;
     flood_opts.bad_share_replicas = 5;  // f for n=16
     const FallbackStats flood = measure(Protocol::kAlwaysFallback, 16, 3, 4, flood_opts);
-    std::printf("    bad-share flood (f=5 Byzantine): commits=%llu fallbacks=%llu "
-                "rejected=%llu (liveness: %s)\n",
+    std::printf("    bad-share flood (f=5 Byzantine): commits=%llu rejected=%llu "
+                "(liveness: %s)\n",
                 static_cast<unsigned long long>(flood.commits),
-                static_cast<unsigned long long>(flood.combine_fallbacks),
                 static_cast<unsigned long long>(flood.bad_shares_rejected),
                 flood.commits > 0 ? "yes" : "NO");
     if (json_path != nullptr) {
       bench::JsonLine("fig23_share_assembly")
           .field_str("protocol", "always-fallback")
           .field("n", std::uint64_t{16})
-          .field("eager_shares_verified", eager.shares_verified)
-          .field("lazy_shares_verified", lazy.shares_verified)
-          .field("lazy_shares_deferred", lazy.shares_deferred)
-          .field("combines_optimistic", lazy.combines_optimistic)
-          .field("combine_fallbacks", lazy.combine_fallbacks)
-          .field("verification_reduction", reduction)
-          .field("ledgers_identical", static_cast<std::uint64_t>(same_ledgers ? 1 : 0))
+          .field("shares_verified", accept.shares_verified)
+          .field("combines", accept.combines)
           .field("flood_commits", flood.commits)
-          .field("flood_combine_fallbacks", flood.combine_fallbacks)
           .field("flood_bad_shares_rejected", flood.bad_shares_rejected)
           .append_to(json_path);
     }

@@ -6,7 +6,6 @@
 #include "common/rng.h"
 #include "crypto/dealer.h"
 #include "crypto/sha256.h"
-#include "crypto/verifier_cache.h"
 #include "smr/block.h"
 #include "smr/certificates.h"
 #include "smr/messages.h"
@@ -97,9 +96,10 @@ void BM_ShareVerifyEach(benchmark::State& state) {
 BENCHMARK(BM_ShareVerifyEach)->Arg(4)->Arg(31);
 
 void BM_CombineThenVerify(benchmark::State& state) {
-  // Lazy (optimistic) quorum assembly: one Lagrange combine over cached
-  // coefficients plus ONE combined verification — the per-certificate
-  // cost that replaces the t per-share checks of BM_ShareVerifyEach.
+  // Certificate life cycle after its shares were checked: one Lagrange
+  // combine over cached coefficients (what the assembling replica pays on
+  // top of BM_ShareVerifyEach) plus ONE combined verification (what every
+  // replica that receives the certificate pays).
   const auto n = static_cast<std::uint32_t>(state.range(0));
   auto sys = crypto::CryptoSystem::deal(QuorumParams::for_n(n), 7);
   const Bytes msg = {1, 2, 3, 4};
@@ -170,11 +170,10 @@ smr::Certificate bench_certificate(const crypto::CryptoSystem& sys) {
 }
 
 void BM_CertVerifyFull(benchmark::State& state) {
-  // Baseline: every delivery pays the full threshold verification. Note
-  // the GF(2^61-1) model scheme verifies in O(1) field ops, so full and
-  // cached-hit times are comparable here; with a production threshold
-  // scheme (BLS) a verification is a pairing (~ms), which is why the
-  // macro benches report the verification-*count* reduction.
+  // Every delivery pays the full threshold verification: build the
+  // signing message, hash it to a field point, one field multiply. The
+  // GF(2^61-1) model scheme verifies in O(1) field ops; a production
+  // threshold scheme (BLS) would pay a pairing (~ms) here instead.
   auto sys = crypto::CryptoSystem::deal(QuorumParams::for_n(4), 7);
   const smr::Certificate cert = bench_certificate(*sys);
   for (auto _ : state) {
@@ -182,59 +181,6 @@ void BM_CertVerifyFull(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CertVerifyFull);
-
-void BM_CertVerifyCachedHit(benchmark::State& state) {
-  // Hot path after the first delivery of a certificate: one tagged SHA-256
-  // over ~50 bytes plus an LRU lookup, no threshold math.
-  auto sys = crypto::CryptoSystem::deal(QuorumParams::for_n(4), 7);
-  const smr::Certificate cert = bench_certificate(*sys);
-  crypto::VerifierCache cache;
-  smr::verify_certificate(*sys, cache, cert);  // warm: populates the cache
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(smr::verify_certificate(*sys, cache, cert));
-  }
-  state.counters["hits"] = static_cast<double>(cache.stats().hits);
-  state.counters["misses"] = static_cast<double>(cache.stats().misses);
-}
-BENCHMARK(BM_CertVerifyCachedHit);
-
-void BM_CertVerifyCachedMiss(benchmark::State& state) {
-  // Worst case for the cache: every certificate is distinct, so each
-  // verification pays key derivation + lookup + insert ON TOP of the full
-  // verification. Compare against BM_CertVerifyFull for the overhead.
-  auto sys = crypto::CryptoSystem::deal(QuorumParams::for_n(4), 7);
-  std::vector<smr::Certificate> certs;
-  for (Round r = 1; r <= 512; ++r) {
-    const smr::BlockId id = crypto::sha256(Bytes{std::uint8_t(r), std::uint8_t(r >> 8)});
-    const Bytes msg = smr::cert_signing_message(smr::CertKind::kQuorum, id, r, 0, 0, 0);
-    std::vector<crypto::PartialSig> shares;
-    for (ReplicaId i = 0; i < sys->params.quorum(); ++i) {
-      shares.push_back(sys->quorum_sigs.sign_share(i, msg));
-    }
-    certs.push_back(*smr::combine_certificate(*sys, smr::CertKind::kQuorum, id, r, 0, 0, 0,
-                                              shares));
-  }
-  crypto::VerifierCache cache(256);  // half the working set: all misses + evictions
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(smr::verify_certificate(*sys, cache, certs[i]));
-    i = (i + 1) % certs.size();
-  }
-  state.counters["misses"] = static_cast<double>(cache.stats().misses);
-  state.counters["evictions"] = static_cast<double>(cache.stats().evictions);
-}
-BENCHMARK(BM_CertVerifyCachedMiss);
-
-void BM_CertCacheKey(benchmark::State& state) {
-  // The fixed per-call overhead the cache adds: one domain-separated
-  // SHA-256 over the signing message + signature.
-  auto sys = crypto::CryptoSystem::deal(QuorumParams::for_n(4), 7);
-  const smr::Certificate cert = bench_certificate(*sys);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(smr::cert_cache_key(cert));
-  }
-}
-BENCHMARK(BM_CertCacheKey);
 
 void BM_CoinElection(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));

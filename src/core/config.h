@@ -71,25 +71,6 @@ struct ProtocolConfig {
   /// 3-chain and hand over).
   std::uint32_t leader_rotation = 4;
 
-  /// Capacity of the verified-certificate cache (LRU entries). Bounded so
-  /// a Byzantine flood of distinct valid certificates cannot grow replica
-  /// memory without limit; the working set of a view is far smaller.
-  std::size_t cert_cache_capacity = 1024;
-
-  /// Capacity of the decode-once delivery cache (LRU entries), bounded
-  /// for the same reason as the certificate cache. Only consulted when a
-  /// replica constructs its own cache; harness-shared caches size
-  /// themselves.
-  std::size_t decode_cache_capacity = 1024;
-
-  /// Optimistic quorum assembly (combine-then-verify): buffer incoming
-  /// threshold-signature shares unverified and check one combined
-  /// signature per certificate, falling back to per-share verification
-  /// only when that check fails. Off = eager per-share verification on
-  /// arrival (kept for differential testing; both modes produce
-  /// byte-identical ledgers — see docs/PROTOCOL.md §9).
-  bool lazy_share_verify = true;
-
   /// §3 "Optimization in Practice", applied strictly (DESIGN.md §13): in
   /// the always-fallback baseline, adopt a certified f-block only when it
   /// sits at a *higher* position than our own chain — the paper's "at a

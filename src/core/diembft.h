@@ -82,7 +82,7 @@ class DiemBftReplica final : public ReplicaBase {
   /// proposal so lagging replicas can advance).
   std::optional<smr::TimeoutCert> entry_tc_;
 
-  // Share accumulators (combine-then-verify; see smr/share_accumulator.h).
+  // Share accumulators (see smr/share_accumulator.h).
   // Pool keys cover every field of the signing message, so one accumulator
   // never mixes shares of different messages.
   smr::SharePool<std::tuple<smr::BlockId, Round>> votes_;  ///< collected as L_{r+1}

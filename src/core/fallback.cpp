@@ -115,7 +115,7 @@ void FallbackReplica::handle_message(ReplicaId from, smr::Message&& msg) {
   } else if (auto* cs = std::get_if<smr::CoinShareMsg>(&msg)) {
     handle_coin_share(from, *cs);
   } else if (auto* cq = std::get_if<smr::CoinQcMsg>(&msg)) {
-    if (!cached_verify(cq->qc)) {
+    if (!verify_cert(cq->qc)) {
       blame_cert(from);  // forged coin-QC
       return;
     }
@@ -129,7 +129,7 @@ void FallbackReplica::handle_message(ReplicaId from, smr::Message&& msg) {
     if (cq->leader_best) {
       const smr::Certificate& best = *cq->leader_best;
       if (best.kind == smr::CertKind::kFallback && best.view == cq->qc.view &&
-          cached_verify(best)) {
+          verify_cert(best)) {
         frontier_.observe(best);  // ignored unless it is the current view
         note_certificate(best, from);
       } else {
@@ -254,7 +254,7 @@ void FallbackReplica::handle_proposal(ReplicaId from, smr::ProposalMsg&& msg) {
   smr::Block& block = msg.block;
   if (!block.id_consistent() || block.height != 0) return;
   if (block.proposer != from || leader_of(block.round) != from) return;
-  if (!cached_verify(block.parent)) return;
+  if (!verify_cert(block.parent)) return;
   install_attached_coins(msg.coins);
 
   const smr::Certificate parent = block.parent;
@@ -333,7 +333,6 @@ void FallbackReplica::handle_vote(ReplicaId from, const smr::VoteMsg& msg) {
   qc.round = msg.round;
   qc.view = msg.view;
   qc.sig = *sig;
-  note_verified(qc);  // the accumulator verified the combined signature
   trace(obs::EventKind::kQcFormed, msg.view, msg.round);
   span(obs::SpanStage::kQcFormed, crypto::digest_prefix_u64(msg.block_id),
        msg.view, msg.round);
@@ -373,11 +372,10 @@ void FallbackReplica::on_timer_fired(Round round) {
 
 void FallbackReplica::handle_fb_timeout(ReplicaId from, const smr::FbTimeoutMsg& msg) {
   // Attached coins and qc_high stand on their own verification, so process
-  // them before the share (whose validity the accumulator establishes
-  // lazily — an invalid share must not suppress the catch-up either way).
+  // them before the share (an invalid share must not suppress the catch-up).
   install_attached_coins(msg.coins);
   // "Upon receiving a valid timeout message, execute Lock" (on qc_high).
-  if (cached_verify(msg.qc_high)) lock_full(msg.qc_high, from);
+  if (verify_cert(msg.qc_high)) lock_full(msg.qc_high, from);
 
   if (msg.view < v_cur_) return;  // stale view; shares cannot help anymore
   if (any_ftc_formed_ && msg.view <= highest_ftc_formed_) return;
@@ -386,7 +384,6 @@ void FallbackReplica::handle_fb_timeout(ReplicaId from, const smr::FbTimeoutMsg&
                        [&] { return smr::ftc_signing_message(msg.view); });
   if (!sig) return;
   const smr::FallbackTC ftc{msg.view, *sig};
-  note_verified(ftc);  // the accumulator verified the combined signature
   trace(obs::EventKind::kFtcFormed, msg.view, 0);
   highest_ftc_formed_ = msg.view;
   any_ftc_formed_ = true;
@@ -521,7 +518,7 @@ void FallbackReplica::handle_fb_proposal(ReplicaId from, smr::FbProposalMsg&& ms
   if (block.is_batch_ref()) return;
   if (block.height < 1 || block.height > fb_.chain_len) return;
   if (block.proposer != from) return;
-  if (!cached_verify(block.parent)) {
+  if (!verify_cert(block.parent)) {
     blame_cert(from);  // f-block built on a forged certificate
     return;
   }
@@ -529,7 +526,7 @@ void FallbackReplica::handle_fb_proposal(ReplicaId from, smr::FbProposalMsg&& ms
 
   // An attached valid f-TC can pull us into the fallback (Enter Fallback
   // triggers on receiving an f-TC from any message).
-  if (msg.ftc && cached_verify(*msg.ftc)) handle_ftc(*msg.ftc);
+  if (msg.ftc && verify_cert(*msg.ftc)) handle_ftc(*msg.ftc);
 
   const smr::Certificate parent = block.parent;
   const FallbackHeight h = block.height;
@@ -556,7 +553,7 @@ void FallbackReplica::handle_fb_proposal(ReplicaId from, smr::FbProposalMsg&& ms
     // has no timeouts, hence no f-TC to check.)
     const bool ftc_ok =
         fb_.always_fallback ||
-        (msg.ftc && cached_verify(*msg.ftc) && msg.ftc->view == v_cur_);
+        (msg.ftc && verify_cert(*msg.ftc) && msg.ftc->view == v_cur_);
     if (!ftc_ok) return;
     if (parent.kind == smr::CertKind::kFallback && !is_endorsed(parent)) return;
     if (rank_of(parent) < rank_lock()) return;
@@ -633,7 +630,6 @@ void FallbackReplica::handle_fb_vote(ReplicaId from, const smr::FbVoteMsg& msg) 
   fqc.height = msg.height;
   fqc.proposer = id();
   fqc.sig = *sig;
-  note_verified(fqc);  // the accumulator verified the combined signature
   trace(obs::EventKind::kFBlockCertified, msg.view, msg.round, msg.height);
   span(obs::SpanStage::kQcFormed, crypto::digest_prefix_u64(msg.block_id),
        msg.view, msg.round, msg.height);
@@ -689,7 +685,7 @@ void FallbackReplica::handle_fb_qc(ReplicaId from, const smr::FbQcMsg& msg) {
     blame_cert(from);  // honest replicas only multicast well-formed top f-QCs
     return;
   }
-  if (!cached_verify(fqc)) {
+  if (!verify_cert(fqc)) {
     blame_cert(from);  // forged certificate — the adoption attack vector
     return;
   }
@@ -739,7 +735,6 @@ void FallbackReplica::handle_coin_share(ReplicaId from, const smr::CoinShareMsg&
                        [&] { return crypto::CommonCoin::coin_message(msg.view); });
   if (!sig) return;
   const smr::CoinQC coin{msg.view, *sig};
-  note_verified(coin);  // the accumulator verified the combined signature
   trace(obs::EventKind::kCoinQcFormed, msg.view, 0);
   process_coin(coin);
 }
@@ -831,7 +826,7 @@ std::vector<smr::CoinQC> FallbackReplica::evidence_for(const smr::Certificate& c
 
 void FallbackReplica::install_attached_coins(const std::vector<smr::CoinQC>& coins) {
   for (const auto& c : coins) {
-    if (cached_verify(c)) process_coin(c);
+    if (verify_cert(c)) process_coin(c);
   }
 }
 

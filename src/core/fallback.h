@@ -153,7 +153,7 @@ class FallbackReplica final : public ReplicaBase {
   std::optional<View> sent_coin_share_view_;
   std::optional<smr::FallbackTC> entered_ftc_;  ///< f-TC of the entered view
 
-  // Share accumulators (combine-then-verify; see smr/share_accumulator.h).
+  // Share accumulators (see smr/share_accumulator.h).
   // Pool keys — together with the handler guards — pin every field of the
   // signing message, so one accumulator never mixes shares of different
   // messages (fb_votes_ checks the stored block's round/view/height).

@@ -29,10 +29,10 @@ enum class FaultKind : std::uint8_t {
   /// prefixed with 0xFF; install a validator that rejects that prefix.)
   kInvalidTxns,
   /// Participates normally but corrupts every threshold-signature share
-  /// it sends (votes, timeout shares, f-votes, coin shares). Stresses the
-  /// optimistic combine-then-verify path: honest accumulators must detect
-  /// the bad shares via the failed combined check, evict them, and still
-  /// assemble certificates from the honest 2f+1.
+  /// it sends (votes, timeout shares, f-votes, coin shares). Stresses
+  /// share admission: honest accumulators must reject each bad share on
+  /// arrival, ban its signer, and still assemble certificates from the
+  /// honest 2f+1.
   kBadShares,
   /// Participates normally but every threshold share it sends claims
   /// another replica's signer id (with a garbage value). Stresses the
@@ -44,7 +44,7 @@ enum class FaultKind : std::uint8_t {
   /// it multicasts FbQcMsg certificates for fabricated f-blocks — two
   /// *different* fakes to the two halves of the network (equivocation) —
   /// with garbage threshold signatures. Stresses the adoption rule's
-  /// verification gate: honest replicas must reject (cached_verify fails),
+  /// verification gate: honest replicas must reject (verify_cert fails),
   /// blame the sender, and never adopt or count the fake toward election.
   kForgeFbQc,
   /// On every steady-state proposal it receives, multicasts a fabricated

@@ -16,7 +16,6 @@
 #include "obs/span.h"
 #include "obs/trace.h"
 #include "sim/simulation.h"
-#include "smr/decode_cache.h"
 #include "smr/ledger.h"
 #include "storage/wal.h"
 
@@ -45,12 +44,6 @@ struct ReplicaContext {
   /// durable before every vote/proposal and recovers it at construction,
   /// so a crash + restart can never make it equivocate. Not owned.
   storage::Wal* wal = nullptr;
-
-  /// Decode-once delivery cache. The harness shares one instance across
-  /// all replicas of a simulation (they receive the same broadcast bytes,
-  /// so one decode serves n deliveries); when unset the replica builds a
-  /// private cache of config.decode_cache_capacity entries.
-  std::shared_ptr<smr::DecodeCache> decode_cache;
 
   /// Optional structured trace sink. When set, the replica records its
   /// protocol milestones (proposals, votes, certificates, fallback
@@ -90,15 +83,16 @@ struct ReplicaStats {
   /// Total simulated time spent inside fallbacks (enter -> exit), summed
   /// over completed fallbacks. Mean duration = total / fallbacks_exited.
   obs::Counter fallback_time_total_us;
-  /// Verified-certificate cache: hits avoided a full threshold
-  /// verification; misses performed one. Covers QCs/f-QCs, TCs, f-TCs
-  /// and coin-QCs routed through the cached verify path.
+  /// Certificate verification: cert_verify_misses counts every full
+  /// threshold verification of a non-genesis QC/f-QC, TC, f-TC or coin-QC.
+  /// Nothing is memoised, so cert_verify_hits always reads 0; it stays
+  /// because the perfbench cache-ratio metric reads it.
   obs::Counter cert_verify_hits;
   obs::Counter cert_verify_misses;
-  /// Decode-once delivery cache, counted per delivery at this replica: a
-  /// hit reused an already-decoded message (no parse), a miss ran a full
-  /// decode_message. With the harness-shared cache, one multicast costs
-  /// one miss across all n replicas (the sender's encode pre-populates).
+  /// Delivery parses: decode_misses counts every decode_message a
+  /// delivery at this replica ran (loopback included, malformed payloads
+  /// included). decode_hits always reads 0; it stays because perfbench's
+  /// decode-ratio metric reads it.
   obs::Counter decode_hits;
   obs::Counter decode_misses;
   /// Serializations performed by this replica's multicast() calls. The
@@ -106,15 +100,13 @@ struct ReplicaStats {
   /// over replicas this equals NetStats::multicasts (the benches print
   /// the ratio as serializations/multicast = 1).
   obs::Counter multicast_encodes;
-  /// Share accumulators (optimistic quorum assembly): per-share
-  /// verify_share calls actually paid, shares buffered without immediate
-  /// verification, certificates formed by a single combine-then-verify,
-  /// combined checks that failed into the per-share fallback pass, and
-  /// invalid shares evicted/rejected. In eager mode (lazy_share_verify
-  /// off) shares_verified counts every accepted-or-rejected share and the
-  /// optimistic/fallback counters stay 0.
+  /// Share accumulators (quorum assembly): shares_verified counts every
+  /// per-share check (each share is verified when it arrives),
+  /// combines_optimistic every certificate combined at threshold, and
+  /// bad_shares_rejected every invalid or impersonated share.
+  /// combine_fallbacks always reads 0 (there is no combined check to fail
+  /// over from); it stays because perfbench reads it.
   obs::Counter shares_verified;
-  obs::Counter shares_deferred;
   obs::Counter combines_optimistic;
   obs::Counter combine_fallbacks;
   obs::Counter bad_shares_rejected;
@@ -165,7 +157,6 @@ void for_each_counter(const ReplicaStats& s, Fn&& fn) {
   fn("repro_decode_misses_total", &s.decode_misses);
   fn("repro_multicast_encodes_total", &s.multicast_encodes);
   fn("repro_shares_verified_total", &s.shares_verified);
-  fn("repro_shares_deferred_total", &s.shares_deferred);
   fn("repro_combines_optimistic_total", &s.combines_optimistic);
   fn("repro_combine_fallbacks_total", &s.combine_fallbacks);
   fn("repro_bad_shares_rejected_total", &s.bad_shares_rejected);
@@ -203,22 +194,15 @@ class IReplica {
   /// Deliver a raw network payload (the Network calls this).
   virtual void on_message(ReplicaId from, const Bytes& payload) = 0;
 
-  /// Deliver a payload whose decode-cache content key the caller already
-  /// computed. `key` MUST equal smr::DecodeCache::key_of(payload). No
-  /// transport calls this any more; it stays so forwarding replicas (the
-  /// perfbench TimedReplica overrides it) keep compiling. Default: ignore
-  /// the hint and take on_message.
+  /// Forwarding leftovers of removed delivery paths: nothing in src/
+  /// calls them, and both just take on_message. They stay only because
+  /// perfbench's TimedReplica overrides them; ROADMAP item 3 (one
+  /// benchmark system) deletes them.
   virtual void on_message_keyed(ReplicaId from, const Bytes& payload,
                                 const crypto::Digest& key) {
     (void)key;
     on_message(from, payload);
   }
-
-  /// Deliver a payload that can never be a decode-cache hit: TCP peer
-  /// frames arrive exactly once per connection, so hashing them to probe
-  /// the cache (and inserting the decoded form nobody will look up again)
-  /// is pure overhead on the protocol thread. Implementations decode and
-  /// verify directly. Default: fall back to the cached path.
   virtual void on_message_uncached(ReplicaId from, const Bytes& payload) {
     on_message(from, payload);
   }

@@ -22,44 +22,30 @@ ReplicaBase::ReplicaBase(const ReplicaContext& ctx)
       on_commit_(ctx.on_commit),
       fallback_duration_hist_(ctx.fallback_duration_hist),
       wal_(ctx.wal),
-      vcache_(ctx.config.cert_cache_capacity),
-      dcache_(ctx.decode_cache
-                  ? ctx.decode_cache
-                  : std::make_shared<smr::DecodeCache>(ctx.config.decode_cache_capacity)),
       batch_store_(ctx.config.batch_store_bytes) {
   REPRO_ASSERT(sim_ != nullptr && net_ != nullptr && crypto_ != nullptr);
   qc_high_ = smr::genesis_certificate();
 }
 
-bool ReplicaBase::cached_verify(const smr::Certificate& cert) {
-  const bool ok = smr::verify_certificate(*crypto_, vcache_, cert);
-  // Genesis short-circuits before the cache; don't let it skew counters.
-  if (cert.kind != smr::CertKind::kGenesis) {
-    stats_.cert_verify_hits = vcache_.stats().hits;
-    stats_.cert_verify_misses = vcache_.stats().misses;
-  }
-  return ok;
+bool ReplicaBase::verify_cert(const smr::Certificate& cert) {
+  // Genesis verifies by a plain comparison; it is not a signature check.
+  if (cert.kind != smr::CertKind::kGenesis) ++stats_.cert_verify_misses;
+  return smr::verify_certificate(*crypto_, cert);
 }
 
-bool ReplicaBase::cached_verify(const smr::TimeoutCert& tc) {
-  const bool ok = smr::verify_tc(*crypto_, vcache_, tc);
-  stats_.cert_verify_hits = vcache_.stats().hits;
-  stats_.cert_verify_misses = vcache_.stats().misses;
-  return ok;
+bool ReplicaBase::verify_cert(const smr::TimeoutCert& tc) {
+  ++stats_.cert_verify_misses;
+  return smr::verify_tc(*crypto_, tc);
 }
 
-bool ReplicaBase::cached_verify(const smr::FallbackTC& ftc) {
-  const bool ok = smr::verify_ftc(*crypto_, vcache_, ftc);
-  stats_.cert_verify_hits = vcache_.stats().hits;
-  stats_.cert_verify_misses = vcache_.stats().misses;
-  return ok;
+bool ReplicaBase::verify_cert(const smr::FallbackTC& ftc) {
+  ++stats_.cert_verify_misses;
+  return smr::verify_ftc(*crypto_, ftc);
 }
 
-bool ReplicaBase::cached_verify(const smr::CoinQC& qc) {
-  const bool ok = smr::verify_coin_qc(*crypto_, vcache_, qc);
-  stats_.cert_verify_hits = vcache_.stats().hits;
-  stats_.cert_verify_misses = vcache_.stats().misses;
-  return ok;
+bool ReplicaBase::verify_cert(const smr::CoinQC& qc) {
+  ++stats_.cert_verify_misses;
+  return smr::verify_coin_qc(*crypto_, qc);
 }
 
 void ReplicaBase::persist_vote_state() {
@@ -171,40 +157,13 @@ void ReplicaBase::resume_batch_recovery() {
 }
 
 void ReplicaBase::on_message(ReplicaId from, const Bytes& payload) {
-  // Decode-once: byte-identical payloads (a multicast seen by n replicas
-  // through the shared cache, or a self-delivery the sender pre-populated
-  // at encode time) parse once; any mutated byte changes the content key
-  // and takes the full decode-and-verify path independently.
-  if (halted_ || cfg_.fault.crashed()) return;
-  const crypto::Digest key = smr::DecodeCache::key_of(payload);
-  bool cache_hit = false;
-  auto msg = dcache_->decode(key, payload, &cache_hit);
-  cache_hit ? ++stats_.decode_hits : ++stats_.decode_misses;
-  if (!msg) {
-    LOG_WARN("replica %u: dropping malformed message from %u", id_, from);
-    return;
-  }
-  // The signature memo is keyed by (payload bytes, sender): verification
-  // is a pure function of the two, so a recorded success is as strong as
-  // re-running it, while the same bytes replayed by a different sender
-  // still pay (and fail) the full check. The check itself runs against
-  // the wire bytes in hand — the signed prefix of the payload — instead
-  // of re-encoding the decoded form.
-  if (!dcache_->sender_verified(key, from)) {
-    if (!smr::verify_message_signature_wire(*crypto_, from, *msg, payload)) {
-      LOG_WARN("replica %u: bad signature on message from %u", id_, from);
-      return;
-    }
-    dcache_->note_sender_verified(key, from);
-  }
-
-  deliver(from, std::move(*msg));
-}
-
-void ReplicaBase::on_message_uncached(ReplicaId from, const Bytes& payload) {
+  // The one receive path, for simulated and TCP deliveries alike: parse
+  // the bytes, check the envelope signature of `from` against the signed
+  // prefix of the wire bytes in hand, then deliver. Nothing is memoised,
+  // so a payload replayed under another sender fails its own check.
   if (halted_ || cfg_.fault.crashed()) return;
   auto msg = smr::decode_message(payload);
-  ++stats_.decode_misses;  // a real parse ran, same as a cache miss
+  ++stats_.decode_misses;
   if (!msg) {
     LOG_WARN("replica %u: dropping malformed message from %u", id_, from);
     return;
@@ -283,13 +242,7 @@ void ReplicaBase::deliver(ReplicaId from, smr::Message&& msg) {
 
 SharedBytes ReplicaBase::encode_signed(smr::Message& msg) {
   smr::sign_message(*crypto_, id_, msg);
-  SharedBytes payload = make_shared_bytes(smr::encode_message(msg));
-  // The sender already holds the decoded form: seed the cache so the
-  // loopback delivery (and shared-cache recipients) skip the re-parse.
-  // Marking ourselves signature-verified is sound — we produced the
-  // signature over exactly these bytes.
-  dcache_->insert(smr::DecodeCache::key_of(*payload), std::move(msg), id_);
-  return payload;
+  return make_shared_bytes(smr::encode_message(msg));
 }
 
 ReplicaBase::SpanPlan ReplicaBase::span_plan(const smr::Message& msg) {

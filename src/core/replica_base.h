@@ -25,7 +25,6 @@ class ReplicaBase : public IReplica {
 
   // IReplica ----------------------------------------------------------
   void on_message(ReplicaId from, const Bytes& payload) final;
-  void on_message_uncached(ReplicaId from, const Bytes& payload) final;
   void halt() final { halted_ = true; }
   ReplicaId id() const final { return id_; }
   const smr::Ledger& ledger() const final { return ledger_; }
@@ -56,13 +55,6 @@ class ReplicaBase : public IReplica {
   /// Whether construction restored a WAL snapshot.
   bool recovered() const { return recovered_; }
   bool halted() const { return halted_; }
-  /// Verified-certificate cache occupancy (tests pin its bound).
-  std::size_t cert_cache_size() const { return vcache_.size(); }
-  std::size_t cert_cache_capacity() const { return vcache_.capacity(); }
-  /// The decode-once cache this replica delivers through (harness-shared
-  /// in simulations, private otherwise).
-  const smr::DecodeCache& decode_cache() const { return *dcache_; }
-
   /// The content-addressed batch cache (pipelined proposal path).
   const smr::BatchStore& batch_store() const { return batch_store_; }
 
@@ -122,36 +114,25 @@ class ReplicaBase : public IReplica {
 
   // Messaging ----------------------------------------------------------
   // Sign, serialize exactly once into a refcounted buffer, and hand the
-  // buffer to the network. The sender pre-populates the decode cache with
-  // the decoded form (keyed by the payload hash), so its own loopback
-  // delivery — and, with the harness-shared cache, every simulated
-  // recipient — skips the redundant parse.
+  // buffer to the network. Every recipient, this replica's own loopback
+  // included, decodes and verifies the bytes it receives.
   void send(ReplicaId to, smr::Message msg);
   void multicast(smr::Message msg);
 
-  // Cached certificate verification --------------------------------------
-  // Equivalent to the free verify_* functions but routed through the
-  // replica's verified-certificate cache: each distinct certificate pays
-  // the full threshold verification once; repeats (the fallback floods n
-  // copies of every QC/f-TC/coin-QC) are digest lookups. Successful
-  // verifications and self-combined certificates populate the cache;
-  // failures are never cached. Counters land in stats().cert_verify_*.
-  bool cached_verify(const smr::Certificate& cert);
-  bool cached_verify(const smr::TimeoutCert& tc);
-  bool cached_verify(const smr::FallbackTC& ftc);
-  bool cached_verify(const smr::CoinQC& qc);
+  // Certificate verification ---------------------------------------------
+  // The free verify_* functions, counted: every non-genesis check adds one
+  // to stats().cert_verify_misses. Every certificate a replica relies on
+  // is verified on each delivery; nothing is memoised (docs/PROTOCOL.md §7).
+  bool verify_cert(const smr::Certificate& cert);
+  bool verify_cert(const smr::TimeoutCert& tc);
+  bool verify_cert(const smr::FallbackTC& ftc);
+  bool verify_cert(const smr::CoinQC& qc);
 
-  /// Insert a certificate we built ourselves from verified shares.
-  template <typename Cert>
-  void note_verified(const Cert& cert) {
-    smr::note_verified(vcache_, cert);
-  }
-
-  // Optimistic quorum assembly ------------------------------------------
+  // Quorum assembly ------------------------------------------------------
   // Feed one share into a SharePool under this replica's share
-  // environment (scheme, Lagrange-coefficient memo, counters, lazy/eager
-  // mode) and sync the counters into stats(). Returns the combined
-  // signature exactly once, on the add that completes the quorum.
+  // environment (scheme, Lagrange-coefficient memo, counters) and sync the
+  // counters into stats(). Returns the combined signature exactly once, on
+  // the add that completes the quorum.
   //
   // `from` is the envelope-authenticated sender of the message carrying
   // the share. Shares are first-person (every protocol sends only shares
@@ -170,16 +151,14 @@ class ReplicaBase : public IReplica {
                                                 MakeMsg&& make_msg) {
     std::optional<crypto::ThresholdSig> sig;
     if (share.signer == from) {
-      const smr::ShareEnv env{&scheme, &lagrange_, &share_stats_, cfg_.lazy_share_verify};
+      const smr::ShareEnv env{&scheme, &lagrange_, &share_stats_};
       sig = pool.add(env, key, share, std::forward<MakeMsg>(make_msg));
     } else {
       ++share_stats_.bad_shares_rejected;
       share_stats_.blame_signer(from);
     }
     stats_.shares_verified = share_stats_.shares_verified;
-    stats_.shares_deferred = share_stats_.shares_deferred;
-    stats_.combines_optimistic = share_stats_.combines_optimistic;
-    stats_.combine_fallbacks = share_stats_.combine_fallbacks;
+    stats_.combines_optimistic = share_stats_.combines;
     stats_.bad_shares_rejected = share_stats_.bad_shares_rejected;
     return sig;
   }
@@ -187,7 +166,7 @@ class ReplicaBase : public IReplica {
   /// Per-signer blame counters for rejected shares (flood diagnosis).
   const std::vector<std::uint64_t>& share_blame() const { return share_stats_.blame; }
 
-  /// Charge `from` for a relayed certificate that failed cached_verify
+  /// Charge `from` for a relayed certificate that failed verify_cert
   /// (forged f-QC / coin-QC advertisement). Senders are envelope-
   /// authenticated, so the blame is attributable.
   void blame_cert(ReplicaId from) {
@@ -424,9 +403,8 @@ class ReplicaBase : public IReplica {
   ReplicaStats stats_;
 
  private:
-  /// Post-decode delivery tail shared by every receive path: centralized
-  /// block retrieval + batch dissemination, then the protocol's
-  /// handle_message.
+  /// Post-verify delivery tail of on_message: centralized block retrieval
+  /// + batch dissemination, then the protocol's handle_message.
   void deliver(ReplicaId from, smr::Message&& msg);
   void try_commit_from(const smr::Certificate& cert, ReplicaId hint);
   void defer_commit(const smr::BlockId& missing, const smr::Certificate& cert);
@@ -470,8 +448,6 @@ class ReplicaBase : public IReplica {
   storage::Wal* wal_ = nullptr;
   bool recovered_ = false;
   bool halted_ = false;
-  crypto::VerifierCache vcache_;
-  std::shared_ptr<smr::DecodeCache> dcache_;
   crypto::LagrangeCache lagrange_;
   smr::ShareStats share_stats_;
   /// Per-sender counts of relayed certificates that failed verification.
@@ -481,8 +457,8 @@ class ReplicaBase : public IReplica {
   SharedBytes encode_signed(smr::Message& msg);
 
   /// Span milestones derived from an outgoing message. Captured *before*
-  /// encode_signed moves the message into the decode cache; the payload
-  /// content key (bridging to transport spans) is only computable after.
+  /// encode_signed; the payload content key (bridging to transport spans)
+  /// is only computable after.
   struct SpanPlan {
     enum Kind : std::uint8_t { kNone, kProposal, kVote } kind = kNone;
     std::uint64_t key = 0;  ///< block-id prefix

@@ -81,8 +81,8 @@ class ThresholdScheme {
 
   /// Pure interpolation of exactly-threshold-many shares with caller-
   /// supplied Lagrange coefficients (one per share, same order). Does NOT
-  /// verify anything — the combine-then-verify path checks the result with
-  /// a single verify_at instead of t verify_share calls.
+  /// verify anything: share accumulators call it only on shares they
+  /// already verified one by one.
   ThresholdSig combine_with_coefficients(std::span<const PartialSig> shares,
                                          std::span<const Fp> coefficients) const;
 
@@ -111,8 +111,7 @@ class CommonCoin {
   std::uint32_t threshold() const { return scheme_.threshold(); }
 
   /// The underlying f+1-threshold scheme, for share accumulators that
-  /// assemble coin QCs with the same combine-then-verify machinery as
-  /// quorum certificates.
+  /// assemble coin QCs with the same machinery as quorum certificates.
   const ThresholdScheme& scheme() const { return scheme_; }
 
   /// The domain-separated message coin shares sign for `view`.

@@ -27,10 +27,6 @@ Experiment::Experiment(ExperimentConfig cfg) : cfg_(std::move(cfg)) {
   const auto& crypto = crypto_;
   net_ = std::make_unique<net::Network>(sim_, cfg_.n, build_delay_model(),
                                         Rng(cfg_.seed ^ 0x6e6574));
-  // One decode cache for the whole system: every replica observes the same
-  // broadcast bytes, so each distinct payload is parsed once — not once per
-  // recipient (and not at all when the sender pre-populated at encode).
-  decode_cache_ = std::make_shared<smr::DecodeCache>(cfg_.pcfg.decode_cache_capacity);
 
   // Observability: latency histograms owned by the registry, every
   // NetStats counter attached in place (the registry reads the same
@@ -67,7 +63,6 @@ Experiment::Experiment(ExperimentConfig cfg) : cfg_(std::move(cfg)) {
       wals_.push_back(std::make_unique<storage::MemWal>());
       ctx.wal = wals_.back().get();
     }
-    ctx.decode_cache = decode_cache_;
     if (cfg_.trace_capacity > 0) {
       std::size_t cap = cfg_.trace_capacity;
       if (cfg_.trace_budget_bytes > 0) {

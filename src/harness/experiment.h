@@ -178,8 +178,6 @@ class Experiment {
 
   sim::Simulation& sim() { return sim_; }
   net::Network& network() { return *net_; }
-  /// The system-wide decode-once cache (shared by all replicas).
-  const smr::DecodeCache& decode_cache() const { return *decode_cache_; }
   const crypto::CryptoSystem& crypto_sys() const { return *crypto_; }
   core::IReplica& replica(ReplicaId id) { return *replicas_[id]; }
   const core::IReplica& replica(ReplicaId id) const { return *replicas_[id]; }
@@ -194,7 +192,6 @@ class Experiment {
   sim::Simulation sim_;
   std::shared_ptr<const crypto::CryptoSystem> crypto_;
   std::unique_ptr<net::Network> net_;
-  std::shared_ptr<smr::DecodeCache> decode_cache_;
   net::AdaptiveLeaderAttackModel* attack_model_ = nullptr;  ///< owned by net_
   std::vector<std::unique_ptr<core::IReplica>> replicas_;
   std::vector<core::ReplicaContext> ctxs_;

@@ -25,13 +25,12 @@ InvariantReport check_invariants(const Experiment& exp) {
   }
   if (honest.empty()) return report;
 
-  // Union of coin-QCs: view -> elected leader. Every honest replica
-  // stores the same coin-QC per view, so verify each distinct one once.
-  crypto::VerifierCache vcache;
+  // Union of coin-QCs: view -> elected leader. Every stored coin-QC is
+  // verified here, independently of the replica that stored it.
   std::map<View, ReplicaId> leaders;
   for (const auto* r : honest) {
     for (const auto& [view, installed] : r->coins()) {
-      if (!verify_coin_qc(exp.crypto_sys(), vcache, installed.qc)) {
+      if (!verify_coin_qc(exp.crypto_sys(), installed.qc)) {
         report.fail("invalid coin-QC stored at replica " + std::to_string(r->id()));
         continue;
       }

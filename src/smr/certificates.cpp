@@ -180,98 +180,4 @@ std::optional<CoinQC> combine_coin_qc(const crypto::CryptoSystem& crypto, View v
   return CoinQC{view, *sig};
 }
 
-// ---------------------------------------------------------------------------
-// Cached verification
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Digest over (domain tag, signing message, signature value). The key
-/// covers every byte full verification reads, so two certificates map to
-/// the same key iff full verification is the same computation for both.
-crypto::Digest verified_key(std::string_view tag, BytesView signing_message,
-                            const crypto::ThresholdSig& sig) {
-  Encoder enc;
-  enc.raw(signing_message);
-  enc.u64(sig.value);
-  return crypto::sha256_tagged(tag, std::move(enc).result());
-}
-
-}  // namespace
-
-crypto::Digest cert_cache_key(const Certificate& cert) {
-  const Bytes msg = cert_signing_message(cert.kind, cert.block_id, cert.round, cert.view,
-                                         cert.height, cert.proposer);
-  return verified_key("repro/vc-cert", msg, cert.sig);
-}
-
-crypto::Digest tc_cache_key(const TimeoutCert& tc) {
-  return verified_key("repro/vc-tc", tc_signing_message(tc.round), tc.sig);
-}
-
-crypto::Digest ftc_cache_key(const FallbackTC& ftc) {
-  return verified_key("repro/vc-ftc", ftc_signing_message(ftc.view), ftc.sig);
-}
-
-crypto::Digest coin_qc_cache_key(const CoinQC& qc) {
-  Encoder enc;
-  enc.u64(qc.view);
-  return verified_key("repro/vc-coin", std::move(enc).result(), qc.sig);
-}
-
-bool verify_certificate(const crypto::CryptoSystem& crypto, crypto::VerifierCache& cache,
-                        const Certificate& cert) {
-  // Genesis verifies by a plain comparison — cheaper than hashing a key.
-  if (cert.kind == CertKind::kGenesis) return cert == genesis_certificate();
-  const crypto::Digest key = cert_cache_key(cert);
-  if (cache.check(key)) return true;
-  if (!verify_certificate(crypto, cert)) return false;
-  cache.insert(key);
-  return true;
-}
-
-bool verify_tc(const crypto::CryptoSystem& crypto, crypto::VerifierCache& cache,
-               const TimeoutCert& tc) {
-  const crypto::Digest key = tc_cache_key(tc);
-  if (cache.check(key)) return true;
-  if (!verify_tc(crypto, tc)) return false;
-  cache.insert(key);
-  return true;
-}
-
-bool verify_ftc(const crypto::CryptoSystem& crypto, crypto::VerifierCache& cache,
-                const FallbackTC& ftc) {
-  const crypto::Digest key = ftc_cache_key(ftc);
-  if (cache.check(key)) return true;
-  if (!verify_ftc(crypto, ftc)) return false;
-  cache.insert(key);
-  return true;
-}
-
-bool verify_coin_qc(const crypto::CryptoSystem& crypto, crypto::VerifierCache& cache,
-                    const CoinQC& qc) {
-  const crypto::Digest key = coin_qc_cache_key(qc);
-  if (cache.check(key)) return true;
-  if (!verify_coin_qc(crypto, qc)) return false;
-  cache.insert(key);
-  return true;
-}
-
-void note_verified(crypto::VerifierCache& cache, const Certificate& cert) {
-  if (cert.kind == CertKind::kGenesis) return;
-  cache.insert(cert_cache_key(cert));
-}
-
-void note_verified(crypto::VerifierCache& cache, const TimeoutCert& tc) {
-  cache.insert(tc_cache_key(tc));
-}
-
-void note_verified(crypto::VerifierCache& cache, const FallbackTC& ftc) {
-  cache.insert(ftc_cache_key(ftc));
-}
-
-void note_verified(crypto::VerifierCache& cache, const CoinQC& qc) {
-  cache.insert(coin_qc_cache_key(qc));
-}
-
 }  // namespace repro::smr

@@ -12,8 +12,8 @@
 //    chain has reached this view, which is what adoption extends.
 //
 // Only *verified* certificates may be observed; callers run them through
-// the replica's VerifierCache first (a forged certificate must never move
-// the frontier — see the Byzantine-adoption tests).
+// ReplicaBase::verify_cert first (a forged certificate must never move the
+// frontier — see the Byzantine-adoption tests).
 #pragma once
 
 #include <algorithm>

@@ -16,81 +16,31 @@ std::optional<crypto::ThresholdSig> ShareAccumulator::add(const ShareEnv& env,
   if (banned_.count(share.signer) != 0) return std::nullopt;
   if (slots_.count(share.signer) != 0) return std::nullopt;  // duplicate signer
 
-  if (env.lazy) {
-    ++env.stats->shares_deferred;
-    slots_.emplace(share.signer, Slot{share.value, false});
-  } else {
-    ++env.stats->shares_verified;
-    if (!env.scheme->verify_share_at(share, point_)) {
-      ++env.stats->bad_shares_rejected;
-      env.stats->blame_signer(share.signer);
-      banned_.insert(share.signer);
-      return std::nullopt;
-    }
-    slots_.emplace(share.signer, Slot{share.value, true});
+  ++env.stats->shares_verified;
+  if (!env.scheme->verify_share_at(share, point_)) {
+    ++env.stats->bad_shares_rejected;
+    env.stats->blame_signer(share.signer);
+    banned_.insert(share.signer);
+    return std::nullopt;
   }
+  slots_.emplace(share.signer, share.value);
 
-  if (slots_.size() < env.scheme->threshold()) return std::nullopt;
-  return try_assemble(env);
-}
-
-std::optional<crypto::ThresholdSig> ShareAccumulator::try_assemble(const ShareEnv& env) {
+  // The accumulator completes on the t-th verified share, so it holds
+  // exactly t shares here. Any t valid shares of the same degree-(t-1)
+  // polynomial combine to the identical signature.
   const std::uint32_t t = env.scheme->threshold();
-  while (slots_.size() >= t) {
-    // Interpolate the first t signers in id order. Any t valid shares of
-    // the same degree-(t-1) polynomial combine to the identical signature,
-    // so the subset choice cannot affect the certificate's bytes — it only
-    // has to be deterministic for the lazy/eager differential pin.
-    std::vector<ReplicaId> ids;
-    std::vector<crypto::PartialSig> picked;
-    ids.reserve(t);
-    picked.reserve(t);
-    bool all_verified = true;
-    for (const auto& [signer, slot] : slots_) {
-      ids.push_back(signer);
-      picked.push_back(crypto::PartialSig{signer, slot.value});
-      all_verified = all_verified && slot.verified;
-      if (ids.size() == t) break;
-    }
-
-    const crypto::ThresholdSig candidate =
-        env.scheme->combine_with_coefficients(picked, env.lagrange->coefficients(ids));
-
-    if (all_verified) {
-      // Every contributor was individually verified (eager mode, or lazy
-      // after a fallback pass) — the interpolation is exact, no check.
-      done_ = true;
-      return candidate;
-    }
-    if (env.scheme->verify_at(candidate, point_)) {
-      ++env.stats->combines_optimistic;
-      done_ = true;
-      return candidate;
-    }
-
-    // The single combined check failed: at least one buffered share is
-    // invalid. Pay the per-share pass once, evict + ban the bad ones, and
-    // loop (if >= t verified shares remain, the retry combines them with
-    // all_verified == true and succeeds without another verify).
-    ++env.stats->combine_fallbacks;
-    for (auto it = slots_.begin(); it != slots_.end();) {
-      if (it->second.verified) {
-        ++it;
-        continue;
-      }
-      ++env.stats->shares_verified;
-      if (env.scheme->verify_share_at(crypto::PartialSig{it->first, it->second.value}, point_)) {
-        it->second.verified = true;
-        ++it;
-      } else {
-        ++env.stats->bad_shares_rejected;
-        env.stats->blame_signer(it->first);
-        banned_.insert(it->first);
-        it = slots_.erase(it);
-      }
-    }
+  if (slots_.size() < t) return std::nullopt;
+  std::vector<ReplicaId> ids;
+  std::vector<crypto::PartialSig> picked;
+  ids.reserve(t);
+  picked.reserve(t);
+  for (const auto& [signer, value] : slots_) {
+    ids.push_back(signer);
+    picked.push_back(crypto::PartialSig{signer, value});
   }
-  return std::nullopt;
+  ++env.stats->combines;
+  done_ = true;
+  return env.scheme->combine_with_coefficients(picked, env.lagrange->coefficients(ids));
 }
 
 }  // namespace repro::smr

@@ -1,31 +1,23 @@
-// Optimistic quorum assembly: combine-then-verify share accumulators.
+// Quorum assembly: per-target threshold-share accumulators.
 //
 // The fallback path is deliberately message-quadratic (paper Thm 9), so
-// per-share threshold crypto dominates the hot path: naively every incoming
-// vote/timeout/coin share pays a fresh SHA-256 message_point plus a field
-// check, and every certificate pays a ~t² Lagrange interpolation. The
-// accumulator turns that around, the way Jolteon/Ditto-style implementations
-// assemble quorums:
+// every incoming vote/timeout/coin share is checked and every certificate
+// is interpolated on the hot path. The accumulator keeps both cheap:
 //
 //   - the signing message's field point is hashed ONCE per target and
-//     memoized (2f+1 shares on the same message hash the identical point);
-//   - shares are buffered unverified (duplicate signers rejected) until the
-//     threshold t is reached;
+//     memoized (2f+1 shares on the same message hash the identical point),
+//     so checking a share is one field multiply against that point;
+//   - each share is verified when it arrives; an invalid one is rejected
+//     and its signer banned for this target (charging a per-signer blame
+//     counter), a duplicate signer is ignored;
 //   - at threshold, ONE Lagrange combine (coefficients served from a
-//     per-replica signer-set memo, batch-inverted on miss) plus ONE verify
-//     of the candidate ThresholdSig replaces t per-share verifications;
-//   - only if that single check fails does the per-share fallback run: it
-//     verifies the buffered shares individually, evicts + bans the invalid
-//     ones (charging a per-signer blame counter), and retries with the
-//     remaining + later-arriving shares.
+//     per-replica signer-set memo, batch-inverted on miss) of the t
+//     verified shares forms the signature. Interpolating verified shares
+//     is exact, so the combined signature needs no further check.
 //
-// Safety: a certificate is handed out only after the combined signature
-// passes `verify` (or after every contributing share was individually
-// verified), so an invalid share can only make the single combined check
-// fail — no unverified certificate ever forms. Liveness: invalid shares are
-// evicted and their signers banned per-target, so the t-th valid share to
-// arrive always completes the certificate, exactly as in eager mode.
-// Honest-path cost per certificate: O(1) verifications instead of O(n).
+// Safety: only verified shares are ever buffered, so no certificate forms
+// from an invalid share. Liveness: invalid shares are banned per target,
+// so the t-th valid share to arrive always completes the certificate.
 //
 // ADMISSION PRECONDITION: callers must only feed shares whose claimed
 // signer equals the envelope-authenticated sender of the carrying message
@@ -53,10 +45,8 @@ namespace repro::smr {
 /// ReplicaStats and the bench tables).
 struct ShareStats {
   std::uint64_t shares_verified = 0;     ///< per-share verify_share calls paid
-  std::uint64_t shares_deferred = 0;     ///< shares buffered without verification
-  std::uint64_t combines_optimistic = 0; ///< certificates formed by combine-then-verify
-  std::uint64_t combine_fallbacks = 0;   ///< combined check failed -> per-share pass
-  std::uint64_t bad_shares_rejected = 0; ///< invalid shares evicted/rejected
+  std::uint64_t combines = 0;            ///< certificates combined at threshold
+  std::uint64_t bad_shares_rejected = 0; ///< invalid shares rejected
   /// Per-signer count of rejected shares (blame for flood diagnosis).
   std::vector<std::uint64_t> blame;
 
@@ -72,7 +62,6 @@ struct ShareEnv {
   const crypto::ThresholdScheme* scheme = nullptr;
   crypto::LagrangeCache* lagrange = nullptr;
   ShareStats* stats = nullptr;
-  bool lazy = true;  ///< false = eager per-share verification (differential mode)
 };
 
 /// Collects shares for ONE signing message and assembles the threshold
@@ -83,12 +72,12 @@ class ShareAccumulator {
   ShareAccumulator(const crypto::ThresholdScheme& scheme, BytesView signing_message);
 
   /// Feed one share. Returns the combined signature exactly once: on the
-  /// add that completes a (verified) quorum. Duplicate signers, banned
+  /// add that completes a quorum of verified shares. Duplicate signers, banned
   /// signers, out-of-range signers, and post-completion adds return
   /// nullopt, as does any add that leaves the accumulator below threshold.
   std::optional<crypto::ThresholdSig> add(const ShareEnv& env, const crypto::PartialSig& share);
 
-  /// Distinct signers currently buffered (excludes evicted shares).
+  /// Distinct signers currently buffered (excludes rejected shares).
   std::size_t count() const { return slots_.size(); }
   /// True once the combined signature has been handed out.
   bool done() const { return done_; }
@@ -99,21 +88,16 @@ class ShareAccumulator {
   /// accumulator buffers up to n slots, so at n=300 a single in-flight
   /// quorum costs ~21 KiB and the pool caps below bound the total.
   std::size_t approx_bytes() const {
-    return sizeof(ShareAccumulator) + slots_.size() * (sizeof(ReplicaId) + sizeof(Slot) + 48) +
+    return sizeof(ShareAccumulator) +
+           slots_.size() * (sizeof(ReplicaId) + sizeof(std::uint64_t) + 48) +
            banned_.size() * (sizeof(ReplicaId) + 40);
   }
 
  private:
-  std::optional<crypto::ThresholdSig> try_assemble(const ShareEnv& env);
-
   crypto::Fp point_;  ///< memoized message_point of the signing message
   bool done_ = false;
 
-  struct Slot {
-    std::uint64_t value = 0;
-    bool verified = false;
-  };
-  std::map<ReplicaId, Slot> slots_;  // signer -> share, id-ordered
+  std::map<ReplicaId, std::uint64_t> slots_;  // signer -> verified share, id-ordered
   std::set<ReplicaId> banned_;       // signers whose share for this target was invalid
 };
 

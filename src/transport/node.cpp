@@ -557,10 +557,8 @@ void TcpNode::on_frame(ReplicaId from, Bytes payload) {
     ev.aux = payload.size();
     cfg_.spans->push(ev);
   }
-  // A peer frame is never byte-shared with another delivery, so skip the
-  // decode-cache probe (hash + LRU insert) entirely: decode and verify
-  // inline on the node thread.
-  if (replica_) replica_->on_message_uncached(from, payload);
+  // Decode and verify inline on the node thread.
+  if (replica_) replica_->on_message(from, payload);
 }
 
 std::size_t TcpNode::handle_readable(int fd) {
@@ -759,9 +757,8 @@ void TcpNode::run_loop() {
     }
     sweep_half_open();
 
-    // Loopback deliveries (handlers may queue more; drain to empty). The
-    // cached entry point wins here: the sender seeded the decode cache at
-    // encode time, so delivery is a pure hit.
+    // Loopback deliveries (handlers may queue more; drain to empty). They
+    // take the same decode-and-verify path as peer frames.
     while (!self_inbox_.empty()) {
       SharedBytes payload = std::move(self_inbox_.front());
       self_inbox_.pop_front();

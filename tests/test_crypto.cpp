@@ -13,7 +13,6 @@
 #include "crypto/sha256.h"
 #include "crypto/signer.h"
 #include "crypto/threshold.h"
-#include "crypto/verifier_cache.h"
 #include "smr/certificates.h"
 
 namespace repro::crypto {
@@ -493,60 +492,9 @@ TEST(Dealer, DeterministicFromSeed) {
             b->quorum_sigs.sign_share(0, msg).value);
 }
 
-// ---- VerifierCache -------------------------------------------------------------
-
-TEST(VerifierCache, MissInsertHit) {
-  VerifierCache cache(4);
-  const Digest k = sha256(str_bytes("a"));
-  EXPECT_FALSE(cache.check(k));
-  cache.insert(k);
-  EXPECT_TRUE(cache.check(k));
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().insertions, 1u);
-  EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(VerifierCache, BoundedUnderFloodOfDistinctKeys) {
-  // Byzantine flood model: a stream of never-repeating certificates must
-  // not grow the cache past its capacity.
-  VerifierCache cache(8);
-  for (int i = 0; i < 1000; ++i) {
-    const Digest k = sha256(Bytes{std::uint8_t(i), std::uint8_t(i >> 8)});
-    EXPECT_FALSE(cache.check(k));
-    cache.insert(k);
-    EXPECT_LE(cache.size(), 8u);
-  }
-  EXPECT_EQ(cache.size(), 8u);
-  EXPECT_EQ(cache.stats().evictions, 1000u - 8u);
-  // The earliest keys were evicted; the most recent ones survive.
-  EXPECT_FALSE(cache.check(sha256(Bytes{0, 0})));
-  EXPECT_TRUE(cache.check(sha256(Bytes{std::uint8_t(999), std::uint8_t(999 >> 8)})));
-}
-
-TEST(VerifierCache, HitRefreshesLruOrder) {
-  VerifierCache cache(2);
-  const Digest a = sha256(str_bytes("a"));
-  const Digest b = sha256(str_bytes("b"));
-  const Digest c = sha256(str_bytes("c"));
-  cache.insert(a);
-  cache.insert(b);
-  EXPECT_TRUE(cache.check(a));  // a becomes most-recently-used
-  cache.insert(c);              // evicts b, not a
-  EXPECT_TRUE(cache.check(a));
-  EXPECT_FALSE(cache.check(b));
-}
-
-TEST(VerifierCache, DuplicateInsertIsIdempotent) {
-  VerifierCache cache(4);
-  const Digest k = sha256(str_bytes("x"));
-  cache.insert(k);
-  cache.insert(k);
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.stats().insertions, 1u);
-}
-
-// ---- cached certificate verification (cache-safety) ---------------------------
+// ---- certificate verification: mutated signatures ----------------------------
+// Certificates.TamperedQcRejected and the TC/f-TC/coin-QC tests in
+// test_smr.cpp mutate a signed field; these mutate the signature itself.
 
 smr::Certificate signed_cert(const CryptoSystem& sys, Round round) {
   const smr::BlockId id = sha256(Bytes{std::uint8_t(round)});
@@ -558,96 +506,38 @@ smr::Certificate signed_cert(const CryptoSystem& sys, Round round) {
   return *smr::combine_certificate(sys, smr::CertKind::kQuorum, id, round, 0, 0, 0, shares);
 }
 
-TEST(CachedVerify, SecondVerificationIsAHit) {
-  auto sys = CryptoSystem::deal(QuorumParams::for_n(4), 41);
-  VerifierCache cache;
-  const smr::Certificate cert = signed_cert(*sys, 3);
-  EXPECT_TRUE(smr::verify_certificate(*sys, cache, cert));
-  EXPECT_TRUE(smr::verify_certificate(*sys, cache, cert));
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().hits, 1u);
-}
-
-TEST(CachedVerify, MutatedSignatureAfterHitStillFails) {
-  // The key covers the signature bytes: re-sending a cached certificate
-  // with a tampered signature must MISS (different key) and then fail
-  // full verification — a hit can never vouch for different bytes.
+TEST(CertificateVerify, MutatedSignatureRejectedForEveryKind) {
   auto sys = CryptoSystem::deal(QuorumParams::for_n(4), 42);
-  VerifierCache cache;
+
   smr::Certificate cert = signed_cert(*sys, 5);
-  ASSERT_TRUE(smr::verify_certificate(*sys, cache, cert));
+  ASSERT_TRUE(smr::verify_certificate(*sys, cert));
   cert.sig.value += 1;
-  EXPECT_FALSE(smr::verify_certificate(*sys, cache, cert));
-  EXPECT_EQ(cache.stats().hits, 0u);
-  EXPECT_EQ(cache.stats().misses, 2u);
-}
+  EXPECT_FALSE(smr::verify_certificate(*sys, cert));
 
-TEST(CachedVerify, MutatedMessageFieldAfterHitStillFails) {
-  // The key covers the signing message too: a valid signature re-attached
-  // to different certificate fields must not ride on the cached entry.
-  auto sys = CryptoSystem::deal(QuorumParams::for_n(4), 43);
-  VerifierCache cache;
-  smr::Certificate cert = signed_cert(*sys, 7);
-  ASSERT_TRUE(smr::verify_certificate(*sys, cache, cert));
-  smr::Certificate forged = cert;
-  forged.round = 8;  // claim the same sig certifies a different round
-  EXPECT_FALSE(smr::verify_certificate(*sys, cache, forged));
-  EXPECT_EQ(cache.stats().hits, 0u);
-}
+  std::vector<PartialSig> tc_shares;
+  std::vector<PartialSig> ftc_shares;
+  for (ReplicaId i = 0; i < sys->params.quorum(); ++i) {
+    tc_shares.push_back(sys->quorum_sigs.sign_share(i, smr::tc_signing_message(3)));
+    ftc_shares.push_back(sys->quorum_sigs.sign_share(i, smr::ftc_signing_message(4)));
+  }
+  smr::TimeoutCert tc = *smr::combine_tc(*sys, 3, tc_shares);
+  ASSERT_TRUE(smr::verify_tc(*sys, tc));
+  tc.sig.value ^= 1;
+  EXPECT_FALSE(smr::verify_tc(*sys, tc));
 
-TEST(CachedVerify, FailedVerificationIsNeverCached) {
-  auto sys = CryptoSystem::deal(QuorumParams::for_n(4), 44);
-  VerifierCache cache;
-  smr::Certificate cert = signed_cert(*sys, 9);
-  cert.sig.value += 1;
-  EXPECT_FALSE(smr::verify_certificate(*sys, cache, cert));
-  EXPECT_FALSE(smr::verify_certificate(*sys, cache, cert));
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.stats().hits, 0u);
-}
+  smr::FallbackTC ftc = *smr::combine_ftc(*sys, 4, ftc_shares);
+  ASSERT_TRUE(smr::verify_ftc(*sys, ftc));
+  ftc.sig.value ^= 1;
+  EXPECT_FALSE(smr::verify_ftc(*sys, ftc));
 
-TEST(CachedVerify, NoteVerifiedPrepopulates) {
-  // Self-combined certificates enter pre-verified: the first incoming
-  // copy is already a hit.
-  auto sys = CryptoSystem::deal(QuorumParams::for_n(4), 45);
-  VerifierCache cache;
-  const smr::Certificate cert = signed_cert(*sys, 11);
-  smr::note_verified(cache, cert);
-  EXPECT_TRUE(smr::verify_certificate(*sys, cache, cert));
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 0u);
-}
-
-TEST(CachedVerify, GenesisIsNeverCached) {
-  auto sys = CryptoSystem::deal(QuorumParams::for_n(4), 46);
-  VerifierCache cache;
-  EXPECT_TRUE(smr::verify_certificate(*sys, cache, smr::genesis_certificate()));
-  smr::note_verified(cache, smr::genesis_certificate());
-  EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(CachedVerify, CoinQcAndFtcRoundTrip) {
-  auto sys = CryptoSystem::deal(QuorumParams::for_n(4), 47);
-  VerifierCache cache;
   std::vector<PartialSig> coin_shares;
   for (ReplicaId i = 0; i < sys->params.coin_quorum(); ++i) {
     coin_shares.push_back(sys->coin.coin_share(i, 6));
   }
   smr::CoinQC coin = *smr::combine_coin_qc(*sys, 6, coin_shares);
-  EXPECT_TRUE(smr::verify_coin_qc(*sys, cache, coin));
-  EXPECT_TRUE(smr::verify_coin_qc(*sys, cache, coin));
-  coin.view = 7;  // same sig, different view: must miss and fail
-  EXPECT_FALSE(smr::verify_coin_qc(*sys, cache, coin));
-
-  std::vector<PartialSig> ftc_shares;
-  for (ReplicaId i = 0; i < sys->params.quorum(); ++i) {
-    ftc_shares.push_back(sys->quorum_sigs.sign_share(i, smr::ftc_signing_message(4)));
-  }
-  smr::FallbackTC ftc = *smr::combine_ftc(*sys, 4, ftc_shares);
-  EXPECT_TRUE(smr::verify_ftc(*sys, cache, ftc));
-  EXPECT_TRUE(smr::verify_ftc(*sys, cache, ftc));
-  ftc.sig.value ^= 1;
-  EXPECT_FALSE(smr::verify_ftc(*sys, cache, ftc));
+  ASSERT_TRUE(smr::verify_coin_qc(*sys, coin));
+  coin.sig.value ^= 1;
+  EXPECT_FALSE(smr::verify_coin_qc(*sys, coin));
 }
 
 }  // namespace

@@ -336,54 +336,67 @@ TEST(ExitFallback, CoinQcExitsAndAdvancesView) {
   EXPECT_FALSE(rig.sent<smr::CoinQcMsg>().empty());
 }
 
-// ---- verified-certificate cache (message hot path) ---------------------------
+// ---- delivery verification (nothing is memoised) ------------------------------
 
-TEST(VerifierCacheRules, DuplicateCertificateDeliveryHitsCache) {
-  // The fallback floods each replica with n copies of every QC (qc_high
-  // rides on every fb-timeout): only the first copy may pay a full
-  // threshold verification.
-  ProtocolConfig pcfg;
-  pcfg.leader_rotation = 1;
-  Rig rig({}, pcfg);
+TEST(DeliveryVerification, ReplayedPayloadUnderAnotherSenderIsDropped) {
+  // Envelope signatures bind a payload to its signer. Once replica 1's
+  // genuine fb-timeout was accepted, the identical bytes delivered as if
+  // from replica 2 must fail replica 2's signature check: no share, no
+  // certificate check, no reply, only the parse.
+  Rig rig;
   rig.replica->start();
   rig.settle();
-  const auto proposals = rig.sent<smr::ProposalMsg>();
-  ASSERT_FALSE(proposals.empty());
-  const Certificate qc1 = rig.make_qc(proposals.front().block);
+  rig.captured.clear();
 
-  auto timeout_with_qc = [&](ReplicaId i) {
-    smr::FbTimeoutMsg m = rig.timeout_from(i, 1);
-    m.qc_high = qc1;
-    return m;
-  };
-  rig.inject(1, timeout_with_qc(1));
-  EXPECT_EQ(rig.replica->stats().cert_verify_misses, 1u);
-  EXPECT_EQ(rig.replica->stats().cert_verify_hits, 0u);
-  rig.inject(2, timeout_with_qc(2));
-  rig.inject(3, timeout_with_qc(3));
-  EXPECT_EQ(rig.replica->stats().cert_verify_misses, 1u);  // still one full verify
-  EXPECT_GE(rig.replica->stats().cert_verify_hits, 2u);
+  const Block b = Block::make(smr::genesis_certificate(), 1, 0, 0, 0, Bytes{});
+  smr::FbTimeoutMsg m = rig.timeout_from(1, 0);
+  m.qc_high = rig.make_qc(b);
+  Message msg = m;
+  smr::sign_message(*rig.crypto_sys, 1, msg);
+  const Bytes payload = smr::encode_message(msg);
+
+  const ReplicaStats& st = rig.replica->stats();
+  const std::uint64_t before = st.cert_verify_misses;
+  rig.net->send(1, 0, payload);
+  rig.settle();
+  ASSERT_GT(st.cert_verify_misses, before);  // accepted: qc_high was checked
+  const std::uint64_t decodes = st.decode_misses;
+  const std::uint64_t shares = st.shares_verified;
+  const std::uint64_t certs = st.cert_verify_misses;
+  rig.captured.clear();
+
+  rig.net->send(2, 0, payload);
+  rig.settle();
+  EXPECT_EQ(st.decode_misses, decodes + 1);
+  EXPECT_EQ(st.shares_verified, shares);
+  EXPECT_EQ(st.bad_shares_rejected, 0u);
+  EXPECT_EQ(st.cert_verify_misses, certs);
+  EXPECT_FALSE(rig.replica->in_fallback());
+  EXPECT_TRUE(rig.captured.empty());
 }
 
-TEST(VerifierCacheRules, CacheStaysBoundedUnderDistinctCertFlood) {
-  // A Byzantine peer streaming never-repeating (valid) certificates must
-  // not grow the replica's cache past its configured capacity.
-  ProtocolConfig pcfg;
-  pcfg.leader_rotation = 1;
-  pcfg.cert_cache_capacity = 4;
-  Rig rig({}, pcfg);
+TEST(DeliveryVerification, MutatedRelayOfAcceptedCertificateIsRejected) {
+  // A certificate that verified once earns nothing for a later copy: the
+  // same top f-QC relayed with a mutated signature is verified in full,
+  // fails, and is blamed on its sender.
+  Rig rig;
   rig.replica->start();
   rig.settle();
+  const Block b = Block::make(smr::genesis_certificate(), 1, 0, 3, 1, Bytes{});
+  const Certificate fqc = rig.make_fqc(b);
 
-  for (std::uint8_t i = 0; i < 12; ++i) {
-    const Block b = Block::make(smr::genesis_certificate(), 1, 0, 0, 0, Bytes{i});
-    smr::FbTimeoutMsg m = rig.timeout_from(1, 1);
-    m.qc_high = rig.make_qc(b);  // distinct block id -> distinct cache key
-    rig.inject(1, m);
-  }
-  EXPECT_EQ(rig.replica->cert_cache_capacity(), 4u);
-  EXPECT_LE(rig.replica->cert_cache_size(), 4u);
-  EXPECT_GE(rig.replica->stats().cert_verify_misses, 12u);
+  rig.inject(1, smr::FbQcMsg{fqc, {}});
+  EXPECT_EQ(rig.replica->stats().bad_certs_rejected, 0u);
+  EXPECT_EQ(rig.replica->stats().cert_verify_misses, 1u);
+
+  Certificate forged = fqc;
+  forged.sig.value ^= 1;
+  rig.inject(2, smr::FbQcMsg{forged, {}});
+  EXPECT_EQ(rig.replica->stats().bad_certs_rejected, 1u);
+  EXPECT_EQ(rig.replica->stats().cert_verify_misses, 2u);
+  ASSERT_GT(rig.replica->cert_blame().size(), 2u);
+  EXPECT_EQ(rig.replica->cert_blame()[1], 0u);
+  EXPECT_EQ(rig.replica->cert_blame()[2], 1u);
 }
 
 // ---- coin-share view horizon --------------------------------------------------

@@ -1,6 +1,5 @@
-// Unit tests for the combine-then-verify share accumulators
-// (smr/share_accumulator.h) — the optimistic quorum-assembly layer under
-// every vote/timeout/coin-share pool.
+// Unit tests for the share accumulators (smr/share_accumulator.h) — the
+// quorum-assembly layer under every vote/timeout/coin-share pool.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -24,7 +23,7 @@ class ShareAccumulatorTest : public ::testing::Test {
  protected:
   ShareAccumulatorTest() : rng_(77), scheme_(crypto::ThresholdScheme::deal(7, 5, rng_)) {}
 
-  ShareEnv env(bool lazy = true) { return ShareEnv{&scheme_, &lagrange_, &stats_, lazy}; }
+  ShareEnv env() { return ShareEnv{&scheme_, &lagrange_, &stats_}; }
 
   crypto::PartialSig share_of(ReplicaId i) { return scheme_.sign_share(i, msg_); }
 
@@ -41,7 +40,7 @@ class ShareAccumulatorTest : public ::testing::Test {
   const Bytes msg_ = str_bytes("target message");
 };
 
-TEST_F(ShareAccumulatorTest, OptimisticPathFormsAtThresholdWithoutShareVerifies) {
+TEST_F(ShareAccumulatorTest, FormsAtThresholdAfterVerifyingEachShare) {
   ShareAccumulator acc(scheme_, msg_);
   for (ReplicaId i = 0; i < 4; ++i) {
     EXPECT_FALSE(acc.add(env(), share_of(i)).has_value());
@@ -50,52 +49,18 @@ TEST_F(ShareAccumulatorTest, OptimisticPathFormsAtThresholdWithoutShareVerifies)
   ASSERT_TRUE(sig.has_value());
   EXPECT_TRUE(scheme_.verify(*sig, msg_));
   EXPECT_TRUE(acc.done());
-  EXPECT_EQ(stats_.shares_verified, 0u);  // no per-share check on the honest path
-  EXPECT_EQ(stats_.shares_deferred, 5u);
-  EXPECT_EQ(stats_.combines_optimistic, 1u);
-  EXPECT_EQ(stats_.combine_fallbacks, 0u);
-}
-
-TEST_F(ShareAccumulatorTest, LazySignatureEqualsEagerSignature) {
-  ShareAccumulator lazy_acc(scheme_, msg_);
-  ShareAccumulator eager_acc(scheme_, msg_);
-  std::optional<crypto::ThresholdSig> lazy_sig, eager_sig;
-  for (ReplicaId i = 0; i < 5; ++i) {
-    lazy_sig = lazy_acc.add(env(true), share_of(i));
-    eager_sig = eager_acc.add(env(false), share_of(i));
-  }
-  ASSERT_TRUE(lazy_sig && eager_sig);
-  EXPECT_EQ(lazy_sig->value, eager_sig->value);
-}
-
-TEST_F(ShareAccumulatorTest, BadShareTriggersFallbackEvictionAndRecovers) {
-  ShareAccumulator acc(scheme_, msg_);
-  EXPECT_FALSE(acc.add(env(), bad_share_of(0)).has_value());  // buffered unverified
-  for (ReplicaId i = 1; i < 4; ++i) {
-    EXPECT_FALSE(acc.add(env(), share_of(i)).has_value());
-  }
-  // 5th distinct signer reaches threshold; the optimistic combine fails,
-  // the per-share pass evicts signer 0 and the accumulator drops back
-  // below threshold.
-  EXPECT_FALSE(acc.add(env(), share_of(4)).has_value());
-  EXPECT_EQ(stats_.combine_fallbacks, 1u);
-  EXPECT_EQ(stats_.bad_shares_rejected, 1u);
-  EXPECT_EQ(acc.count(), 4u);
-  ASSERT_GT(stats_.blame.size(), 0u);
-  EXPECT_EQ(stats_.blame[0], 1u);
-  // The next valid share completes the certificate.
-  const auto sig = acc.add(env(), share_of(5));
-  ASSERT_TRUE(sig.has_value());
-  EXPECT_TRUE(scheme_.verify(*sig, msg_));
+  EXPECT_EQ(stats_.shares_verified, 5u);  // one check per share, on arrival
+  EXPECT_EQ(stats_.combines, 1u);
+  EXPECT_EQ(stats_.bad_shares_rejected, 0u);
 }
 
 TEST_F(ShareAccumulatorTest, BannedSignerStaysBannedAfterEviction) {
   ShareAccumulator acc(scheme_, msg_);
-  acc.add(env(), bad_share_of(0));
-  for (ReplicaId i = 1; i < 5; ++i) acc.add(env(), share_of(i));  // fallback evicts 0
+  acc.add(env(), bad_share_of(0));  // rejected on arrival, 0 banned
+  for (ReplicaId i = 1; i < 5; ++i) acc.add(env(), share_of(i));
   EXPECT_EQ(stats_.bad_shares_rejected, 1u);
   // A now-VALID share from the banned signer is refused: admitting it
-  // would let a Byzantine replica force one combine fallback per share.
+  // would let a Byzantine replica alternate bad and good shares forever.
   EXPECT_FALSE(acc.add(env(), share_of(0)).has_value());
   EXPECT_EQ(acc.count(), 4u);
   const auto sig = acc.add(env(), share_of(5));
@@ -104,17 +69,20 @@ TEST_F(ShareAccumulatorTest, BannedSignerStaysBannedAfterEviction) {
 
 TEST_F(ShareAccumulatorTest, EagerModeRejectsAndBansAtAdmission) {
   ShareAccumulator acc(scheme_, msg_);
-  EXPECT_FALSE(acc.add(env(false), bad_share_of(0)).has_value());
+  EXPECT_FALSE(acc.add(env(), bad_share_of(0)).has_value());
   EXPECT_EQ(stats_.bad_shares_rejected, 1u);
   EXPECT_EQ(acc.count(), 0u);
-  // Banned exactly like the lazy fallback pass would: later valid shares
-  // from the same signer are dropped, keeping both modes byte-identical.
-  EXPECT_FALSE(acc.add(env(false), share_of(0)).has_value());
+  ASSERT_GT(stats_.blame.size(), 0u);
+  EXPECT_EQ(stats_.blame[0], 1u);
+  // Banned for this target: later valid shares from the same signer are
+  // dropped.
+  EXPECT_FALSE(acc.add(env(), share_of(0)).has_value());
   EXPECT_EQ(acc.count(), 0u);
   std::optional<crypto::ThresholdSig> sig;
-  for (ReplicaId i = 1; i < 6; ++i) sig = acc.add(env(false), share_of(i));
+  for (ReplicaId i = 1; i < 6; ++i) sig = acc.add(env(), share_of(i));
   ASSERT_TRUE(sig.has_value());
-  EXPECT_EQ(stats_.combines_optimistic, 0u);  // all-verified combine skips the check
+  EXPECT_TRUE(scheme_.verify(*sig, msg_));
+  EXPECT_EQ(stats_.combines, 1u);
 }
 
 TEST_F(ShareAccumulatorTest, DuplicateAndOutOfRangeSignersRejected) {
@@ -144,12 +112,10 @@ TEST_F(ShareAccumulatorTest, AllBadSharesNeverFormCertificate) {
     EXPECT_FALSE(acc.add(env(), bad_share_of(i)).has_value());
   }
   EXPECT_FALSE(acc.done());
-  // The add reaching threshold (5th) triggered one fallback pass that
-  // evicted all five buffered shares; the last two sit buffered below
-  // threshold and can never complete a quorum (only 2 unbanned signers).
-  EXPECT_EQ(stats_.combine_fallbacks, 1u);
-  EXPECT_EQ(stats_.bad_shares_rejected, 5u);
-  EXPECT_EQ(acc.count(), 2u);
+  // Every share was rejected on arrival; nothing was buffered or combined.
+  EXPECT_EQ(stats_.bad_shares_rejected, 7u);
+  EXPECT_EQ(stats_.combines, 0u);
+  EXPECT_EQ(acc.count(), 0u);
 }
 
 TEST(SharePool, KeysIsolateTargetsAndEraseIfPrunes) {
@@ -157,7 +123,7 @@ TEST(SharePool, KeysIsolateTargetsAndEraseIfPrunes) {
   auto scheme = crypto::ThresholdScheme::deal(4, 3, rng);
   crypto::LagrangeCache lagrange;
   ShareStats stats;
-  const ShareEnv env{&scheme, &lagrange, &stats, true};
+  const ShareEnv env{&scheme, &lagrange, &stats};
   SharePool<std::uint64_t> pool;
 
   auto msg_for = [](std::uint64_t key) { return str_bytes("round " + std::to_string(key)); };

@@ -45,8 +45,6 @@ void usage() {
       "  --faults LIST  comma-separated, applied to the last replicas:\n"
       "                 crash | mute | equiv | withhold | spam | badshare |\n"
       "                 impersonate | forgeqc | ghost\n"
-      "  --eager        verify every threshold share on arrival (default is\n"
-      "                 optimistic combine-then-verify accumulation)\n"
       "  --no-adopt     disable the strict higher-position adoption rule in\n"
       "                 the ace baseline (ProtocolConfig::fb_adopt = false)\n"
       "  --no-relay     disable certificate relay (designated coin-QC\n"
@@ -319,8 +317,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--async-mean") {
       cfg.async_mean = static_cast<SimTime>(std::atoll(next())) * 1'000;
       cfg.async_max = cfg.async_mean * 4;
-    } else if (arg == "--eager") {
-      cfg.pcfg.lazy_share_verify = false;
     } else if (arg == "--no-adopt") {
       cfg.pcfg.fb_adopt = false;
     } else if (arg == "--no-relay") {
@@ -389,9 +385,8 @@ int main(int argc, char** argv) {
   const auto& st = exp.network().stats();
   const std::size_t decisions = exp.min_honest_commits();
   std::uint64_t fallbacks = 0, fb_time = 0, fb_exits = 0;
-  std::uint64_t vhits = 0, vmiss = 0;
-  std::uint64_t dhits = 0, dmiss = 0;
-  std::uint64_t sh_verified = 0, sh_deferred = 0, sh_opt = 0, sh_fb = 0, sh_bad = 0;
+  std::uint64_t cert_verifies = 0;
+  std::uint64_t sh_verified = 0, sh_combines = 0, sh_bad = 0;
   std::uint64_t thinned = 0, relays_skipped = 0, bad_certs = 0;
   for (ReplicaId id = 0; id < cfg.n; ++id) {
     if (!exp.is_honest(id)) continue;
@@ -401,14 +396,9 @@ int main(int argc, char** argv) {
     fallbacks += exp.replica(id).stats().fallbacks_entered;
     fb_exits += exp.replica(id).stats().fallbacks_exited;
     fb_time += exp.replica(id).stats().fallback_time_total_us;
-    vhits += exp.replica(id).stats().cert_verify_hits;
-    vmiss += exp.replica(id).stats().cert_verify_misses;
-    dhits += exp.replica(id).stats().decode_hits;
-    dmiss += exp.replica(id).stats().decode_misses;
+    cert_verifies += exp.replica(id).stats().cert_verify_misses;
     sh_verified += exp.replica(id).stats().shares_verified;
-    sh_deferred += exp.replica(id).stats().shares_deferred;
-    sh_opt += exp.replica(id).stats().combines_optimistic;
-    sh_fb += exp.replica(id).stats().combine_fallbacks;
+    sh_combines += exp.replica(id).stats().combines_optimistic;
     sh_bad += exp.replica(id).stats().bad_shares_rejected;
   }
 
@@ -440,22 +430,10 @@ int main(int argc, char** argv) {
   std::printf("self-delivery      : %llu msgs (%llu bytes), excluded from totals\n",
               static_cast<unsigned long long>(st.self_messages),
               static_cast<unsigned long long>(st.self_bytes));
-  std::printf("cert verifications : %llu full, %llu cache hits",
-              static_cast<unsigned long long>(vmiss),
-              static_cast<unsigned long long>(vhits));
-  if (vmiss > 0) std::printf(" (%.1fx fewer full verifies)", double(vhits + vmiss) / vmiss);
-  std::printf("\n");
-  std::printf("payload decodes    : %llu full, %llu cache hits",
-              static_cast<unsigned long long>(dmiss),
-              static_cast<unsigned long long>(dhits));
-  if (dmiss > 0) std::printf(" (%.1fx fewer parses)", double(dhits + dmiss) / dmiss);
-  std::printf("\n");
-  std::printf("share assembly     : %llu verified per-share, %llu deferred, "
-              "%llu optimistic combines, %llu fallbacks",
+  std::printf("cert verifications : %llu\n", static_cast<unsigned long long>(cert_verifies));
+  std::printf("share assembly     : %llu shares verified, %llu combines",
               static_cast<unsigned long long>(sh_verified),
-              static_cast<unsigned long long>(sh_deferred),
-              static_cast<unsigned long long>(sh_opt),
-              static_cast<unsigned long long>(sh_fb));
+              static_cast<unsigned long long>(sh_combines));
   if (sh_bad > 0) std::printf(", %llu bad shares rejected",
                               static_cast<unsigned long long>(sh_bad));
   std::printf("\n");

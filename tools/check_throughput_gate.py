@@ -8,7 +8,7 @@ baseline (BENCH_pr6: 1917 blocks/s) by default.
 
 The speedups this guards (DESIGN.md §12): mesh-gated replica start,
 lazy-popped timer deadlines, short-read recv, deferred loopback
-delivery via self_inbox_, the uncached inline delivery path, and the
+delivery via self_inbox_, the inline decode-and-verify delivery path, and the
 out-of-band batch dissemination layer staying off the critical path
 when payloads are inline.
 
