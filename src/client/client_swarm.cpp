@@ -31,32 +31,19 @@ Bytes TxnPools::next_batch(ReplicaId proposer) {
   return std::move(enc).result();
 }
 
-std::vector<TxnId> TxnPools::decode_txn_ids(BytesView payload) {
-  std::vector<TxnId> ids;
-  Decoder dec(payload);
-  auto count = dec.u32();
-  if (!count) return ids;
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    auto raw = dec.raw(32);
-    auto body = dec.bytes();
-    if (!raw || !body) return ids;
-    TxnId id;
-    std::copy(raw->begin(), raw->end(), id.begin());
-    ids.push_back(id);
-  }
-  return ids;
-}
-
-std::vector<Bytes> TxnPools::decode_txn_payloads(BytesView payload) {
-  std::vector<Bytes> out;
+TxnPools::DecodedBatch TxnPools::decode_batch(BytesView payload) {
+  DecodedBatch out;
   Decoder dec(payload);
   auto count = dec.u32();
   if (!count) return out;
   for (std::uint32_t i = 0; i < *count; ++i) {
-    auto raw = dec.raw(32);
-    auto body = dec.bytes();
+    auto raw = dec.raw_view(32);
+    auto body = dec.bytes_view();
     if (!raw || !body) return out;
-    out.push_back(std::move(*body));
+    TxnId id;
+    std::copy(raw->begin(), raw->end(), id.begin());
+    out.ids.push_back(id);
+    out.payloads.push_back(*body);
   }
   return out;
 }
@@ -102,6 +89,7 @@ void ClientSwarm::submit_txn(std::uint32_t client) {
   fl.client = client;
   fl.submitted_at = exp_.sim().now();
   fl.payload = payload;
+  fl.leaf = crypto::MerkleTree::leaf_hash(payload);
   fl.next_target = static_cast<ReplicaId>((client + txn_seq_) % exp_.n());
   in_flight_.emplace(id, std::move(fl));
   ++stats_.submitted;
@@ -139,22 +127,23 @@ void ClientSwarm::arm_retry(const TxnId& id) {
 }
 
 void ClientSwarm::on_commit(ReplicaId replica, const smr::Block& block) {
-  const std::vector<TxnId> ids = TxnPools::decode_txn_ids(block.txns());
-  if (ids.empty()) return;
+  const TxnPools::DecodedBatch batch = TxnPools::decode_batch(block.txns());
+  if (batch.ids.empty()) return;
   // The replica commits to the batch with a Merkle tree and attaches an
   // inclusion proof to each acknowledgment.
-  const crypto::MerkleTree tree(TxnPools::decode_txn_payloads(block.txns()));
+  const crypto::MerkleTree tree(batch.payloads);
+  const crypto::Digest root = tree.root();
   const std::uint64_t block_key = crypto::digest_prefix_u64(block.id);
-  for (std::uint32_t i = 0; i < ids.size(); ++i) {
-    const TxnId id = ids[i];
-    const crypto::Digest root = tree.root();
-    const crypto::MerkleProof proof = tree.prove(i);
+  for (std::uint32_t i = 0; i < batch.ids.size(); ++i) {
+    const TxnId id = batch.ids[i];
+    crypto::MerkleProof proof = tree.prove(i);
     ++stats_.rpc_messages;
     // ack: txn id + root + proof (index + 33 bytes/step).
     stats_.rpc_bytes += 32 + 32 + 8 + proof.steps.size() * 33;
-    exp_.sim().schedule_after(rpc_delay(), [this, replica, id, block_key, root, proof] {
-      deliver_ack(replica, id, block_key, root, proof);
-    });
+    exp_.sim().schedule_after(rpc_delay(),
+                              [this, replica, id, block_key, root, proof = std::move(proof)] {
+                                deliver_ack(replica, id, block_key, root, proof);
+                              });
   }
 }
 
@@ -162,7 +151,7 @@ void ClientSwarm::deliver_ack(ReplicaId replica, const TxnId& id, std::uint64_t 
                               const crypto::Digest& root, const crypto::MerkleProof& proof) {
   auto it = in_flight_.find(id);
   if (it == in_flight_.end()) return;
-  if (!crypto::MerkleTree::verify(root, it->second.payload, proof)) {
+  if (!crypto::MerkleTree::verify_leaf(root, it->second.leaf, proof)) {
     ++stats_.bad_proofs;  // a lying replica cannot contribute to the quorum
     return;
   }

@@ -73,11 +73,18 @@ class TxnPools {
   /// Encoding: u32 count, then per txn (32-byte id, length-prefixed body).
   Bytes next_batch(ReplicaId proposer);
 
-  /// Decode the txn ids inside a committed block payload.
-  static std::vector<TxnId> decode_txn_ids(BytesView payload);
+  /// A decoded batch: txn ids, and views of the txn payloads (the
+  /// Merkle leaves) into the batch bytes. Stops at the first malformed txn.
+  struct DecodedBatch {
+    std::vector<TxnId> ids;
+    std::vector<BytesView> payloads;
+  };
+  static DecodedBatch decode_batch(BytesView payload);
 
-  /// Decode the raw txn payloads of a batch (Merkle leaves).
-  static std::vector<Bytes> decode_txn_payloads(BytesView payload);
+  /// Decode the txn ids inside a committed block payload.
+  static std::vector<TxnId> decode_txn_ids(BytesView payload) {
+    return decode_batch(payload).ids;
+  }
 
  private:
   struct Pending {
@@ -108,6 +115,7 @@ class ClientSwarm {
     std::uint32_t client = 0;
     SimTime submitted_at = 0;
     Bytes payload;
+    crypto::Digest leaf{};           ///< MerkleTree::leaf_hash(payload)
     std::set<ReplicaId> acks;        ///< replicas that reported commit
     ReplicaId next_target = 0;       ///< retry destination
     std::uint64_t retry_epoch = 0;   ///< invalidates stale retry timers
@@ -119,10 +127,10 @@ class ClientSwarm {
   void arm_retry(const TxnId& id);
   void on_commit(ReplicaId replica, const smr::Block& block);
   /// An ack carries the batch's Merkle root and an inclusion proof; the
-  /// client verifies the proof against its own copy of the transaction
-  /// before counting the ack toward the f+1 quorum. `block_key` is the
-  /// digest prefix of the committing block, threaded through so the
-  /// confirm span joins the block's commit-lifecycle chain.
+  /// client verifies the proof against the leaf hash of its own copy of
+  /// the transaction before counting the ack toward the f+1 quorum.
+  /// `block_key` is the digest prefix of the committing block, threaded
+  /// through so the confirm span joins the block's commit-lifecycle chain.
   void deliver_ack(ReplicaId replica, const TxnId& id, std::uint64_t block_key,
                    const crypto::Digest& root, const crypto::MerkleProof& proof);
   SimTime rpc_delay();

@@ -85,17 +85,19 @@ class Decoder {
     return *b != 0;
   }
 
-  std::optional<Bytes> bytes() {
-    auto len = u32();
-    if (!len || pos_ + *len > data_.size()) return std::nullopt;
-    Bytes out(data_.begin() + pos_, data_.begin() + pos_ + *len);
-    pos_ += *len;
-    return out;
-  }
+  std::optional<Bytes> bytes() { return owned(bytes_view()); }
+  std::optional<Bytes> raw(std::size_t len) { return owned(raw_view(len)); }
 
-  std::optional<Bytes> raw(std::size_t len) {
-    if (pos_ + len > data_.size()) return std::nullopt;
-    Bytes out(data_.begin() + pos_, data_.begin() + pos_ + len);
+  /// bytes() and raw() as views into the decoder's input: no copy, valid
+  /// as long as that input is.
+  std::optional<BytesView> bytes_view() {
+    auto len = u32();
+    if (!len) return std::nullopt;
+    return raw_view(*len);
+  }
+  std::optional<BytesView> raw_view(std::size_t len) {
+    if (len > data_.size() - pos_) return std::nullopt;
+    const BytesView out = data_.subspan(pos_, len);
     pos_ += len;
     return out;
   }
@@ -110,6 +112,11 @@ class Decoder {
   std::size_t remaining() const { return data_.size() - pos_; }
 
  private:
+  static std::optional<Bytes> owned(std::optional<BytesView> v) {
+    if (!v) return std::nullopt;
+    return Bytes(v->begin(), v->end());
+  }
+
   template <typename T>
   std::optional<T> read_le() {
     if (pos_ + sizeof(T) > data_.size()) return std::nullopt;

@@ -221,6 +221,10 @@ void ReplicaBase::deliver(ReplicaId from, smr::Message&& msg) {
     if (resp->blocks.size() > smr::kMaxBlocksPerResponse) return;
     // Oldest first, so deferred work retries at most once per block.
     for (auto it = resp->blocks.rbegin(); it != resp->blocks.rend(); ++it) {
+      if (!it->id_consistent()) {
+        LOG_WARN("replica %u: dropping id-inconsistent block from %u", id_, from);
+        continue;
+      }
       store_block(std::move(*it), from);
     }
     return;
@@ -371,19 +375,14 @@ bool ReplicaBase::ensure_block(const smr::BlockId& id, ReplicaId hint) {
   return false;
 }
 
-const smr::Block* ReplicaBase::store_block(smr::Block block, ReplicaId from) {
-  if (!block.id_consistent()) {
-    LOG_WARN("replica %u: dropping id-inconsistent block from %u", id_, from);
-    return nullptr;
-  }
+void ReplicaBase::store_block(smr::Block block, ReplicaId from) {
   const smr::BlockId id = block.id;
-  if (!store_.insert(std::move(block))) return store_.get(id);
+  if (!store_.insert(std::move(block))) return;
   outstanding_fetches_.erase(id);
   try_resolve_block(id, from);
   const smr::Block* stored = store_.get(id);
   retry_deferred(id, from);
   on_block_stored(*stored, from);
-  return stored;
 }
 
 void ReplicaBase::on_block_stored(const smr::Block&, ReplicaId) {}

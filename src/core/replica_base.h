@@ -226,9 +226,10 @@ class ReplicaBase : public IReplica {
   /// returns false.
   bool ensure_block(const smr::BlockId& id, ReplicaId hint);
 
-  /// Validates id-consistency and stores; triggers deferred work.
-  /// Returns the stored block or nullptr if invalid.
-  const smr::Block* store_block(smr::Block block, ReplicaId from);
+  /// Stores the block and triggers deferred work. The block must be
+  /// id-consistent: built by Block::make, or checked once where it
+  /// arrived (the proposal, f-proposal and block-response handlers).
+  void store_block(smr::Block block, ReplicaId from);
 
   // Environment ----------------------------------------------------------
   sim::IExecutor& sim() { return *sim_; }

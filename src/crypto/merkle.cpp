@@ -1,5 +1,8 @@
 #include "crypto/merkle.h"
 
+#include <array>
+#include <string_view>
+
 #include "common/assert.h"
 
 namespace repro::crypto {
@@ -36,26 +39,27 @@ Digest MerkleTree::leaf_hash(BytesView item) {
 }
 
 Digest MerkleTree::node_hash(const Digest& left, const Digest& right) {
-  Bytes both;
-  both.reserve(64);
-  both.insert(both.end(), left.begin(), left.end());
-  both.insert(both.end(), right.begin(), right.end());
-  return sha256_tagged("repro/merkle-node", both);
+  // The bytes sha256_tagged("repro/merkle-node", left || right) hashes,
+  // laid out on the stack: tag_len || tag || left || right.
+  static constexpr std::string_view kTag = "repro/merkle-node";
+  std::array<std::uint8_t, 1 + kTag.size() + 2 * sizeof(Digest)> buf;
+  buf[0] = static_cast<std::uint8_t>(kTag.size());
+  auto out = std::copy(kTag.begin(), kTag.end(), buf.begin() + 1);
+  out = std::copy(left.begin(), left.end(), out);
+  std::copy(right.begin(), right.end(), out);
+  return sha256(buf);
 }
 
 Digest MerkleTree::empty_root() {
   return sha256_tagged("repro/merkle-empty", BytesView{});
 }
 
-MerkleTree::MerkleTree(const std::vector<Bytes>& items) : leaf_count_(items.size()) {
-  if (items.empty()) {
+void MerkleTree::build(std::vector<Digest> leaves) {
+  if (leaves.empty()) {
     root_ = empty_root();
     return;
   }
-  std::vector<Digest> level;
-  level.reserve(items.size());
-  for (const Bytes& item : items) level.push_back(leaf_hash(item));
-  levels_.push_back(level);
+  levels_.push_back(std::move(leaves));
   while (levels_.back().size() > 1) {
     const auto& below = levels_.back();
     std::vector<Digest> above;
@@ -92,7 +96,11 @@ MerkleProof MerkleTree::prove(std::uint32_t index) const {
 }
 
 bool MerkleTree::verify(const Digest& root, BytesView item, const MerkleProof& proof) {
-  Digest acc = leaf_hash(item);
+  return verify_leaf(root, leaf_hash(item), proof);
+}
+
+bool MerkleTree::verify_leaf(const Digest& root, const Digest& leaf, const MerkleProof& proof) {
+  Digest acc = leaf;
   for (const MerkleProof::Step& s : proof.steps) {
     acc = s.sibling_on_left ? node_hash(s.sibling, acc) : node_hash(acc, s.sibling);
   }

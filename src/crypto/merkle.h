@@ -10,6 +10,7 @@
 // ambiguity), and inner nodes are domain-separated from leaves.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -42,9 +43,17 @@ struct MerkleProof {
 
 class MerkleTree {
  public:
-  /// Builds the tree over the given leaf payloads. An empty batch has the
-  /// well-known empty root.
-  explicit MerkleTree(const std::vector<Bytes>& items);
+  /// Builds the tree over the given leaf payloads (owned Bytes, or
+  /// BytesViews into a batch). An empty batch has the well-known empty
+  /// root.
+  template <typename Item = Bytes>
+    requires std::convertible_to<const Item&, BytesView>
+  explicit MerkleTree(const std::vector<Item>& items) : leaf_count_(items.size()) {
+    std::vector<Digest> leaves;
+    leaves.reserve(items.size());
+    for (const Item& item : items) leaves.push_back(leaf_hash(item));
+    build(std::move(leaves));
+  }
 
   const Digest& root() const { return root_; }
   std::size_t size() const { return leaf_count_; }
@@ -54,6 +63,8 @@ class MerkleTree {
 
   /// Verifies that `item` is at `proof.index` under `root`.
   static bool verify(const Digest& root, BytesView item, const MerkleProof& proof);
+  /// verify() for a caller that already holds leaf_hash(item).
+  static bool verify_leaf(const Digest& root, const Digest& leaf, const MerkleProof& proof);
 
   /// The root of an empty batch.
   static Digest empty_root();
@@ -62,6 +73,8 @@ class MerkleTree {
   static Digest node_hash(const Digest& left, const Digest& right);
 
  private:
+  void build(std::vector<Digest> leaves);
+
   std::size_t leaf_count_ = 0;
   /// levels_[0] = leaf hashes, levels_.back() = {root}.
   std::vector<std::vector<Digest>> levels_;

@@ -167,19 +167,12 @@ std::string Snapshot::ndjson() const {
 
 Registry::Entry& Registry::upsert(const std::string& name, Labels labels,
                                   MetricKind kind) {
-  for (auto& e : entries_) {
-    if (e->name == name && e->labels == labels) {
-      // Replace in place: a re-registration (e.g. replica restart) hands
-      // over new storage under the same identity.
-      *e = Entry{};
-      e->name = name;
-      e->labels = std::move(labels);
-      e->kind = kind;
-      return *e;
-    }
-  }
-  entries_.push_back(std::make_unique<Entry>());
-  Entry& e = *entries_.back();
+  auto [it, inserted] = index_.try_emplace({name, labels}, nullptr);
+  if (inserted) it->second = entries_.emplace_back(std::make_unique<Entry>()).get();
+  // A re-registration (e.g. replica restart) hands over new storage under
+  // the same identity, in place, so snapshot order does not change.
+  Entry& e = *it->second;
+  e = Entry{};
   e.name = name;
   e.labels = std::move(labels);
   e.kind = kind;
@@ -191,13 +184,6 @@ Counter& Registry::counter(const std::string& name, Labels labels) {
   Entry& e = upsert(name, std::move(labels), MetricKind::kCounter);
   e.owned_counter = std::make_unique<Counter>();
   return *e.owned_counter;
-}
-
-Gauge& Registry::gauge(const std::string& name, Labels labels) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Entry& e = upsert(name, std::move(labels), MetricKind::kGauge);
-  e.owned_gauge = std::make_unique<Gauge>();
-  return *e.owned_gauge;
 }
 
 Histogram& Registry::histogram(const std::string& name, Labels labels) {
@@ -221,13 +207,6 @@ void Registry::attach_gauge_fn(const std::string& name, Labels labels,
   e.gauge_fn = std::move(fn);
 }
 
-void Registry::attach_histogram(const std::string& name, Labels labels,
-                                const Histogram* h) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Entry& e = upsert(name, std::move(labels), MetricKind::kHistogram);
-  e.ext_hist = h;
-}
-
 Snapshot Registry::snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   Snapshot snap;
@@ -237,8 +216,7 @@ Snapshot Registry::snapshot() const {
     s.name = e->name;
     s.labels = e->labels;
     s.kind = e->kind;
-    const Histogram* hist = e->owned_hist ? e->owned_hist.get() : e->ext_hist;
-    if (hist != nullptr) {
+    if (const Histogram* hist = e->owned_hist.get()) {
       s.buckets.resize(Histogram::kBuckets);
       for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
         s.buckets[i] = hist->bucket(i);
@@ -247,8 +225,6 @@ Snapshot Registry::snapshot() const {
       s.sum = hist->sum();
     } else if (e->owned_counter) {
       s.value = e->owned_counter->load();
-    } else if (e->owned_gauge) {
-      s.value = e->owned_gauge->load();
     } else if (e->ext_counter != nullptr) {
       s.value = e->ext_counter->load();
     } else if (e->gauge_fn) {

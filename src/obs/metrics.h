@@ -1,7 +1,7 @@
 // Runtime metrics: named counters, gauges and log2-bucket latency
 // histograms behind one process-wide registry.
 //
-// Hot-path discipline: a Counter/Gauge/Histogram update is a handful of
+// Hot-path discipline: a Counter/Histogram update is a handful of
 // relaxed atomic operations — no locks, no allocation, no branches beyond
 // the bucket index. The Registry itself is only locked on registration
 // and snapshot, never on update. Counters are therefore safe to bump from
@@ -21,6 +21,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -68,17 +69,6 @@ class Counter {
 
  private:
   void store(std::uint64_t v) { v_.store(v, std::memory_order_relaxed); }
-  std::atomic<std::uint64_t> v_{0};
-};
-
-/// Settable instantaneous value (queue depths, current view, ...).
-class Gauge {
- public:
-  void set(std::uint64_t v) { v_.store(v, std::memory_order_relaxed); }
-  void add(std::int64_t d) { v_.fetch_add(static_cast<std::uint64_t>(d), std::memory_order_relaxed); }
-  std::uint64_t load() const { return v_.load(std::memory_order_relaxed); }
-
- private:
   std::atomic<std::uint64_t> v_{0};
 };
 
@@ -160,14 +150,13 @@ struct Snapshot {
   std::string ndjson() const;
 };
 
-/// Named metrics: owned (created through counter()/gauge()/histogram())
-/// or attached (storage owned elsewhere, e.g. ReplicaStats fields). The
+/// Named metrics: owned (created through counter()/histogram()) or
+/// attached (storage owned elsewhere, e.g. ReplicaStats fields). The
 /// (name, labels) pair identifies a metric; re-registering it replaces
 /// the previous registration, which is what a replica restart wants.
 class Registry {
  public:
   Counter& counter(const std::string& name, Labels labels = {});
-  Gauge& gauge(const std::string& name, Labels labels = {});
   Histogram& histogram(const std::string& name, Labels labels = {});
 
   /// Attach an externally-owned counter. The storage must outlive the
@@ -180,11 +169,6 @@ class Registry {
   void attach_gauge_fn(const std::string& name, Labels labels,
                        std::function<std::uint64_t()> fn);
 
-  /// Attach an externally-owned histogram (same lifetime contract as
-  /// attach_counter: the storage must outlive the registry or be
-  /// replaced under the same name + labels before it dies).
-  void attach_histogram(const std::string& name, Labels labels, const Histogram* h);
-
   Snapshot snapshot() const;
 
  private:
@@ -193,17 +177,16 @@ class Registry {
     Labels labels;
     MetricKind kind = MetricKind::kCounter;
     std::unique_ptr<Counter> owned_counter;
-    std::unique_ptr<Gauge> owned_gauge;
     std::unique_ptr<Histogram> owned_hist;
     const Counter* ext_counter = nullptr;
-    const Histogram* ext_hist = nullptr;
     std::function<std::uint64_t()> gauge_fn;
   };
 
   Entry& upsert(const std::string& name, Labels labels, MetricKind kind);
 
   mutable std::mutex mu_;
-  std::vector<std::unique_ptr<Entry>> entries_;
+  std::vector<std::unique_ptr<Entry>> entries_;  ///< registration order
+  std::map<std::pair<std::string, Labels>, Entry*> index_;
 };
 
 }  // namespace repro::obs

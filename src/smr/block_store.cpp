@@ -13,8 +13,11 @@ BlockStore::BlockStore() {
 }
 
 bool BlockStore::insert(Block block) {
+  // A duplicate returns before the id is re-hashed.
+  if (blocks_.contains(block.id)) return false;
   REPRO_ASSERT_MSG(block.id_consistent(), "inserting id-inconsistent block");
-  return blocks_.emplace(block.id, std::move(block)).second;
+  blocks_.emplace(block.id, std::move(block));
+  return true;
 }
 
 const Block* BlockStore::get(const BlockId& id) const {

@@ -256,49 +256,11 @@ SimTime RealtimeExecutor::now() const {
                                   .count());
 }
 
-sim::EventId RealtimeExecutor::schedule_at(SimTime t, std::function<void()> cb) {
-  const std::uint64_t seq = next_seq_++;
-  queue_.push(Entry{t, seq, seq});
-  callbacks_.emplace(seq, std::move(cb));
-  return seq;
-}
-
-void RealtimeExecutor::cancel(sim::EventId id) {
-  if (callbacks_.count(id) != 0) cancelled_.insert(id);
-}
-
-SimTime RealtimeExecutor::next_deadline() {
-  // Retire cancelled heads instead of reporting their stale deadlines:
-  // the round timer is cancelled and re-armed every round, so the heap
-  // head is routinely a dead entry whose time would cut the poll timeout
-  // short for nothing.
-  while (!queue_.empty()) {
-    const Entry& e = queue_.top();
-    if (cancelled_.erase(e.id) != 0) {
-      callbacks_.erase(e.id);
-      queue_.pop();
-      continue;
-    }
-    return e.time;
-  }
-  return kSimTimeNever;
-}
-
 std::size_t RealtimeExecutor::run_due() {
   std::size_t fired = 0;
   const SimTime deadline = now();
-  while (!queue_.empty() && queue_.top().time <= deadline) {
-    const Entry e = queue_.top();
-    queue_.pop();
-    if (cancelled_.erase(e.id) != 0) {
-      callbacks_.erase(e.id);
-      continue;
-    }
-    auto it = callbacks_.find(e.id);
-    if (it == callbacks_.end()) continue;
-    auto cb = std::move(it->second);
-    callbacks_.erase(it);
-    cb();
+  while (queue_.next_time() <= deadline) {
+    queue_.pop()();
     ++fired;
   }
   return fired;

@@ -36,14 +36,13 @@
 #include <map>
 #include <chrono>
 #include <memory>
-#include <queue>
 #include <string>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "core/replica.h"
 #include "obs/metrics.h"
+#include "sim/event_queue.h"
 #include "sim/executor.h"
 #include "smr/messages.h"
 
@@ -56,34 +55,24 @@ class RealtimeExecutor final : public sim::IExecutor {
   RealtimeExecutor();
 
   SimTime now() const override;
-  sim::EventId schedule_at(SimTime t, std::function<void()> cb) override;
-  void cancel(sim::EventId id) override;
+  sim::EventId schedule_at(SimTime t, std::function<void()> cb) override {
+    return queue_.push(t, std::move(cb));
+  }
+  void cancel(sim::EventId id) override { queue_.cancel(id); }
 
   /// Absolute time of the nearest pending event, or kSimTimeNever.
   /// Cancelled entries at the head of the heap are retired here (the
   /// protocol cancels and re-arms its round timer every round; reporting
   /// the stale deadline would wake the poll loop once per round for
   /// nothing).
-  SimTime next_deadline();
+  SimTime next_deadline() { return queue_.next_time(); }
 
   /// Fire everything due at `now()`. Returns events executed.
   std::size_t run_due();
 
  private:
-  struct Entry {
-    SimTime time;
-    std::uint64_t seq;
-    sim::EventId id;
-    bool operator>(const Entry& o) const {
-      return time != o.time ? time > o.time : seq > o.seq;
-    }
-  };
-
   std::chrono::steady_clock::time_point epoch_;
-  std::uint64_t next_seq_ = 1;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> queue_;
-  std::map<sim::EventId, std::function<void()>> callbacks_;
-  std::unordered_set<sim::EventId> cancelled_;
+  sim::EventQueue queue_;
 };
 
 struct PeerAddress {

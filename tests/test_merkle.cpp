@@ -133,5 +133,34 @@ TEST(Merkle, LeafAndNodeDomainsSeparated) {
   EXPECT_NE(MerkleTree::leaf_hash(concat), tree.root());
 }
 
+TEST(Merkle, KnownAnswerRootAndProofs) {
+  // Pinned values: any change to the leaf or node hashing, the odd-node
+  // promotion or the proof encoding moves them.
+  std::vector<Bytes> items;
+  for (int i = 0; i < 5; ++i) {
+    const std::string s = "txn-" + std::to_string(i);
+    items.emplace_back(s.begin(), s.end());
+  }
+  const MerkleTree tree(items);
+  EXPECT_EQ(to_hex(tree.root()),
+            "f1d71f3e1460441ba65d696853833c9b9ce8ab00baf1a6db08cf654b7cdd0a86");
+  const auto encoded = [&](std::uint32_t index) {
+    Encoder enc;
+    tree.prove(index).encode(enc);
+    return to_hex(enc.result());
+  };
+  EXPECT_EQ(encoded(1),
+            "010000000300000001fa6a3903485183415d8a8e4bf079629603544dc987c58139e2244b848c44a7"
+            "60007834dc6ffba081b1193f259e0dd61c85219f2dd4f9523b7115f057d013ad98e9008f0ba11557"
+            "785c24c82f16ff70800b50464c034861eccf64fd69056c31b62c9c");
+  EXPECT_EQ(encoded(4),
+            "040000000100000001f86ffe2fffcabe05a43d2fc4d9390f6554fb8f91ac5faa383028a9cc75e62eb3");
+  // A tree over views of the same bytes is the same tree.
+  const std::vector<BytesView> views(items.begin(), items.end());
+  EXPECT_EQ(MerkleTree(views).root(), tree.root());
+  EXPECT_TRUE(MerkleTree::verify_leaf(tree.root(), MerkleTree::leaf_hash(items[1]),
+                                      tree.prove(1)));
+}
+
 }  // namespace
 }  // namespace repro::crypto

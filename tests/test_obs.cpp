@@ -285,6 +285,37 @@ TEST(Registry, ServesReplicaAndNetStatsWithoutCopies) {
   EXPECT_GT(snap.value("repro_committed_blocks"), 0u);
 }
 
+/// Re-registering a (name, labels) identity hands over new storage in
+/// place: one entry, its old position, the new storage's value.
+TEST(Registry, ReRegistrationSwapsStorageInPlace) {
+  Registry reg;
+  Counter a0, a1, a2, b1;
+  a0 += 1;
+  a1 += 2;
+  a2 += 3;
+  b1 += 20;
+  reg.attach_counter("test_m_total", {{"replica", "0"}}, &a0);
+  reg.attach_counter("test_m_total", {{"replica", "1"}}, &a1);
+  reg.attach_counter("test_m_total", {{"replica", "2"}}, &a2);
+  reg.counter("test_other_total") += 5;
+  reg.attach_counter("test_m_total", {{"replica", "1"}}, &b1);
+  // Same name, other labels: a distinct metric, not a replacement.
+  reg.attach_counter("test_m_total", {{"replica", "1"}, {"lane", "x"}}, &a1);
+
+  const Snapshot snap = reg.snapshot();
+  ASSERT_EQ(snap.samples.size(), 5u);
+  std::vector<std::string> replicas;
+  std::vector<std::uint64_t> values;
+  for (const Sample& s : snap.samples) {
+    if (s.name != "test_m_total") continue;
+    replicas.push_back(s.labels.front().second);
+    values.push_back(s.value);
+  }
+  EXPECT_EQ(replicas, (std::vector<std::string>{"0", "1", "2", "1"}));
+  EXPECT_EQ(values, (std::vector<std::uint64_t>{1, 20, 3, 2}));
+  EXPECT_EQ(snap.value("test_other_total"), 5u);
+}
+
 /// Send raw bytes to the admin port and return the full HTTP response
 /// (the server answers one request per connection and closes).
 std::string admin_request(std::uint16_t port, const std::string& request) {

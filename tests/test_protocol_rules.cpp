@@ -4,6 +4,7 @@
 // check emergent behaviour, these check the *letter* of each rule.
 #include <gtest/gtest.h>
 
+#include "core/diembft.h"
 #include "core/fallback.h"
 #include "net/network.h"
 #include "sim/simulation.h"
@@ -446,6 +447,86 @@ TEST(ExitFallback, StaleCoinDoesNotRegressView) {
   rig.inject(2, smr::CoinQcMsg{coin0, std::nullopt});  // replay of the old view's coin
   EXPECT_EQ(rig.replica->current_view(), 1u);
   EXPECT_FALSE(rig.replica->in_fallback());
+}
+
+// ---- block-id check: once, where each block arrives -----------------------
+//
+// A received block's id is checked at its arrival handler and nowhere
+// after it (store_block trusts its caller). Each path must therefore drop
+// a block whose id does not match its contents: one that slipped through
+// would reach BlockStore::insert's assertion and abort the process.
+
+/// Delivers `msg` as signed wire bytes from replica 1 to a fresh replica 0
+/// and reports whether replica 0 then holds a block with id `id`.
+template <typename Replica>
+bool stores_after_delivery(Message msg, const smr::BlockId& id) {
+  sim::Simulation sim;
+  auto crypto_sys = crypto::CryptoSystem::deal(QuorumParams::for_n(4), 777);
+  net::Network net(sim, 4, std::make_unique<net::FixedDelayModel>(1), Rng(1));
+  ReplicaContext ctx;
+  ctx.sim = &sim;
+  ctx.net = &net;
+  ctx.crypto = crypto_sys;
+  ctx.id = 0;
+  ctx.config.leader_rotation = 1;  // round 2's leader is replica 1
+  ctx.seed = 7;
+  std::unique_ptr<Replica> replica;
+  if constexpr (std::is_same_v<Replica, FallbackReplica>) {
+    replica = std::make_unique<Replica>(ctx, FallbackParams{});
+  } else {
+    replica = std::make_unique<Replica>(ctx);
+  }
+  net.register_handler(0, [&](ReplicaId from, const Bytes& payload) {
+    replica->on_message(from, payload);
+  });
+  for (ReplicaId i = 1; i < 4; ++i) net.register_handler(i, [](ReplicaId, const Bytes&) {});
+  smr::sign_message(*crypto_sys, 1, msg);
+  net.send(1, 0, smr::encode_message(msg));
+  sim.run_until(10'000);
+  return replica->store().contains(id);
+}
+
+/// Each message kind carrying a block from replica 1 that replica 0 would
+/// store: a round-2 proposal, a height-1 f-block, a block response.
+std::vector<Message> block_carriers(const Block& b, const Block& fb) {
+  smr::ProposalMsg p;
+  p.block = b;
+  smr::FbProposalMsg f;
+  f.block = fb;
+  smr::BlockResponseMsg r;
+  r.blocks = {b};
+  return {p, f, r};
+}
+
+template <typename Replica>
+void expect_tampered_blocks_dropped(bool handles_fblocks) {
+  const Certificate g = smr::genesis_certificate();
+  const Block b = Block::make(g, 2, 0, 0, 1, Bytes{1, 2, 3});
+  const Block fb = Block::make(g, 1, 0, 1, 1, Bytes{4, 5, 6});
+  Block tampered_b = b;
+  tampered_b.payload.back() ^= 1;
+  Block tampered_fb = fb;
+  tampered_fb.payload.back() ^= 1;
+  const auto valid = block_carriers(b, fb);
+  const auto tampered = block_carriers(tampered_b, tampered_fb);
+  const smr::BlockId ids[] = {b.id, fb.id, b.id};
+  for (std::size_t i = 0; i < valid.size(); ++i) {
+    const bool is_fblock = std::holds_alternative<smr::FbProposalMsg>(valid[i]);
+    // The control: the intact block reaches the store on this path...
+    EXPECT_EQ(stores_after_delivery<Replica>(valid[i], ids[i]), !is_fblock || handles_fblocks)
+        << "message kind " << valid[i].index();
+    // ...and the same block with one payload bit flipped never does.
+    EXPECT_FALSE(stores_after_delivery<Replica>(tampered[i], ids[i]))
+        << "message kind " << tampered[i].index();
+  }
+}
+
+TEST(BlockIdCheck, DiemBftDropsIdInconsistentBlockOnEveryArrivalPath) {
+  expect_tampered_blocks_dropped<DiemBftReplica>(/*handles_fblocks=*/false);
+}
+
+TEST(BlockIdCheck, FallbackDropsIdInconsistentBlockOnEveryArrivalPath) {
+  expect_tampered_blocks_dropped<FallbackReplica>(/*handles_fblocks=*/true);
 }
 
 }  // namespace

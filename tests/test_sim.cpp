@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "sim/event_queue.h"
 #include "sim/simulation.h"
 
 namespace repro::sim {
@@ -141,6 +142,98 @@ TEST(Simulation, CancelledHeadDoesNotAdvanceClockInRunUntil) {
   sim.run_until(20);
   EXPECT_FALSE(fired);
   EXPECT_EQ(sim.now(), 20u);
+}
+
+// ---- EventQueue: the heap + slab both executors run on ---------------------
+
+TEST(EventQueue, TiesFireInInsertionOrder) {
+  EventQueue q;
+  std::vector<int> order;
+  for (int i = 0; i < 5; ++i) q.push(7, [&order, i] { order.push_back(i); });
+  q.push(3, [&order] { order.push_back(-1); });
+  while (q.next_time() != kSimTimeNever) q.pop()();
+  EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2, 3, 4}));
+}
+
+TEST(EventQueue, StaleIdDoesNotCancelReusedSlot) {
+  EventQueue q;
+  const EventId first = q.push(10, [] {});
+  q.pop()();  // fires; its slot goes back on the free list
+  bool fired = false;
+  const EventId second = q.push(20, [&] { fired = true; });
+  EXPECT_EQ(q.slab_capacity(), 1u);  // the slot was reused...
+  EXPECT_NE(first, second);          // ...under a different id
+  q.cancel(first);
+  EXPECT_EQ(q.pending(), 1u);
+  ASSERT_EQ(q.next_time(), 20u);
+  q.pop()();
+  EXPECT_TRUE(fired);
+
+  // The same holds for a slot freed by cancel().
+  const EventId third = q.push(30, [] {});
+  q.cancel(third);
+  const EventId fourth = q.push(40, [] {});
+  q.cancel(third);
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_EQ(q.next_time(), 40u);
+  q.cancel(fourth);
+  EXPECT_EQ(q.next_time(), kSimTimeNever);
+}
+
+TEST(EventQueue, CancelUnknownIdsIsNoop) {
+  EventQueue q;
+  q.cancel(kInvalidEvent);
+  q.cancel(9999);
+  q.cancel(~EventId{0});
+  EXPECT_EQ(q.pending(), 0u);
+}
+
+TEST(EventQueue, CancellingTheRunningEventIsNoop) {
+  Simulation sim;
+  EventId self = kInvalidEvent;
+  bool later_fired = false;
+  self = sim.schedule_at(10, [&] {
+    // The running event's slot is already free: this may neither cancel
+    // the event scheduled just now (which can reuse the slot) nor
+    // corrupt the pending count.
+    sim.schedule_at(20, [&] { later_fired = true; });
+    sim.cancel(self);
+    EXPECT_EQ(sim.pending(), 1u);
+  });
+  sim.run();
+  EXPECT_TRUE(later_fired);
+  EXPECT_EQ(sim.events_executed(), 2u);
+}
+
+TEST(EventQueue, PendingExcludesCancelled) {
+  EventQueue q;
+  const EventId a = q.push(10, [] {});
+  const EventId b = q.push(20, [] {});
+  q.push(30, [] {});
+  q.cancel(b);
+  q.cancel(b);  // twice: still counted once
+  EXPECT_EQ(q.pending(), 2u);
+  q.cancel(a);
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_EQ(q.next_time(), 30u);  // cancelled heads are skipped
+}
+
+TEST(EventQueue, SlabBoundedByPeakPendingNotTotalScheduled) {
+  EventQueue q;
+  // Like a replica's round: each tick cancels and re-arms a timer and
+  // schedules its successor. At most 2 events are ever pending, while
+  // 2001 are scheduled in total.
+  EventId timer = kInvalidEvent;
+  q.push(0, [] {});
+  for (int tick = 0; tick < 1000; ++tick) {
+    ASSERT_EQ(q.next_time(), static_cast<SimTime>(tick));
+    q.pop()();
+    q.cancel(timer);
+    timer = q.push(tick + 50, [] {});
+    q.push(tick + 1, [] {});
+  }
+  EXPECT_EQ(q.slab_capacity(), 2u);
+  EXPECT_EQ(q.pending(), 2u);
 }
 
 }  // namespace

@@ -329,5 +329,17 @@ TEST(RealtimeExecutor, DueEventsOnlyFireWhenDue) {
   EXPECT_NE(exec.next_deadline(), kSimTimeNever);
 }
 
+TEST(RealtimeExecutor, NextDeadlineSkipsCancelledHeads) {
+  RealtimeExecutor exec;
+  const SimTime base = exec.now();
+  const auto early = exec.schedule_at(base + 1'000'000, [] {});
+  const auto mid = exec.schedule_at(base + 2'000'000, [] {});
+  exec.schedule_at(base + 3'000'000, [] {});
+  EXPECT_EQ(exec.next_deadline(), base + 1'000'000);
+  exec.cancel(early);
+  exec.cancel(mid);
+  EXPECT_EQ(exec.next_deadline(), base + 3'000'000);
+}
+
 }  // namespace
 }  // namespace repro::transport
